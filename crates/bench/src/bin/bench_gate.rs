@@ -1,6 +1,6 @@
 //! **Bench-regression gate** — the CI half of the committed
-//! `BENCH_autolf.json` / `BENCH_emfit.json` / `BENCH_serve.json`
-//! baselines (see `.github/workflows/ci.yml`).
+//! `BENCH_autolf.json` / `BENCH_emfit.json` / `BENCH_lfapply.json` /
+//! `BENCH_serve.json` baselines (see `.github/workflows/ci.yml`).
 //!
 //! Re-runs the two `p2_autolf_grid` workloads with telemetry enabled and
 //! compares the `autolf.generate` span mean against the committed
@@ -9,7 +9,8 @@
 //! CI sets it higher to absorb shared-runner noise). It then replays the
 //! `p3_em_fit` planted workload through `PandaModel`/`SnorkelModel`
 //! `fit_predict` and holds each against its `em_fit/*` line the same
-//! way. Finally it boots an
+//! way, then the `p4_lf_apply` workloads against their
+//! `BENCH_lfapply.json` lines. Finally it boots an
 //! in-process `panda-serve` and drives a short keep-alive `/healthz`
 //! burst: measured throughput must stay above the committed `healthz`
 //! number divided by the same limit factor (throughput gates divide
@@ -93,10 +94,12 @@ fn cases() -> Vec<Case> {
     ]
 }
 
-/// `case id → after.ns_per_iter` from the committed baseline file.
-fn load_baselines() -> Result<Vec<(String, f64)>, String> {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_autolf.json");
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+/// `(case, after.ns_per_iter)` for every case of the committed baseline
+/// file `file` (at the repository root) whose name starts with `prefix` —
+/// the one loader behind every timed line this gate holds.
+fn load_after_ns(file: &str, prefix: &str) -> Result<Vec<(String, f64)>, String> {
+    let path = format!("{}/../../{file}", env!("CARGO_MANIFEST_DIR"));
+    let text = std::fs::read_to_string(&path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let doc = serde_json::parse_value(&text).map_err(|e| format!("bad JSON in {path}: {e}"))?;
     let Some(Value::Array(cases)) = doc.get_field("cases") else {
         return Err(format!("{path}: missing \"cases\" array"));
@@ -106,39 +109,7 @@ fn load_baselines() -> Result<Vec<(String, f64)>, String> {
         let Some(Value::Str(name)) = c.get_field("case") else {
             return Err(format!("{path}: case entry without \"case\" string"));
         };
-        let ns = c
-            .get_field("after")
-            .and_then(|a| a.get_field("ns_per_iter"))
-            .and_then(|v| match v {
-                Value::Int(n) => Some(*n as f64),
-                Value::UInt(n) => Some(*n as f64),
-                Value::Float(n) => Some(*n),
-                _ => None,
-            })
-            .ok_or_else(|| format!("{path}: {name}: missing after.ns_per_iter"))?;
-        // "abt_buy/150e_2616cands" → "abt_buy".
-        let id = name.split('/').next().unwrap_or(name).to_string();
-        out.push((id, ns));
-    }
-    Ok(out)
-}
-
-/// `em_fit/<model> → after.ns_per_iter` from `BENCH_emfit.json` (the
-/// `em_step/*` kernel-comparison case has no gate — it documents the
-/// packed-vote speedup, not a line to hold).
-fn load_emfit_baselines() -> Result<Vec<(String, f64)>, String> {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_emfit.json");
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let doc = serde_json::parse_value(&text).map_err(|e| format!("bad JSON in {path}: {e}"))?;
-    let Some(Value::Array(cases)) = doc.get_field("cases") else {
-        return Err(format!("{path}: missing \"cases\" array"));
-    };
-    let mut out = Vec::new();
-    for c in cases {
-        let Some(Value::Str(name)) = c.get_field("case") else {
-            return Err(format!("{path}: case entry without \"case\" string"));
-        };
-        if !name.starts_with("em_fit/") {
+        if !name.starts_with(prefix) {
             continue;
         }
         let ns = c
@@ -151,18 +122,40 @@ fn load_emfit_baselines() -> Result<Vec<(String, f64)>, String> {
                 _ => None,
             })
             .ok_or_else(|| format!("{path}: {name}: missing after.ns_per_iter"))?;
-        // "em_fit/panda/20k_pairs_10lfs" → "panda".
-        let id = name
-            .split('/')
-            .nth(1)
-            .ok_or_else(|| format!("{path}: {name}: expected em_fit/<model>/<size>"))?
-            .to_string();
-        out.push((id, ns));
+        out.push((name.clone(), ns));
     }
     if out.is_empty() {
-        return Err(format!("{path}: no em_fit/ cases"));
+        return Err(format!("{path}: no {prefix:?} cases"));
     }
     Ok(out)
+}
+
+/// Print a verdict per timed line `(case, mean ns, baseline ns)` and write
+/// them to `target/experiments/bench_gate_<name>.metrics.json`. Returns
+/// whether every line held `baseline × limit_factor`.
+fn hold_ns_lines(name: &str, lines: &[(String, f64, f64)], limit_factor: f64) -> bool {
+    let mut held = true;
+    let mut rows = Vec::new();
+    for (case, mean_ns, baseline_ns) in lines {
+        let ok = *mean_ns <= baseline_ns * limit_factor;
+        held &= ok;
+        let verdict = if ok { "PASS" } else { "FAIL" };
+        println!(
+            "  {verdict} {case:<16} mean {mean_ns:>12.0} ns/iter  baseline {baseline_ns:>12.0}  ratio {:.2} (limit {limit_factor:.2})",
+            mean_ns / baseline_ns
+        );
+        rows.push(format!(
+            "    {{ \"case\": \"{case}\", \"mean_ns\": {mean_ns:.0}, \"baseline_ns\": {baseline_ns:.0}, \"verdict\": \"{verdict}\" }}"
+        ));
+    }
+    let report = format!("{{\n  \"cases\": [\n{}\n  ]\n}}\n", rows.join(",\n"));
+    let mpath = panda_bench::experiments_dir().join(format!("bench_gate_{name}.metrics.json"));
+    if let Err(e) = std::fs::write(&mpath, report) {
+        eprintln!("bench_gate: cannot write {}: {e}", mpath.display());
+        return false;
+    }
+    println!("       metrics → {}", mpath.display());
+    held
 }
 
 /// The same planted workload as `benches/p3_em_fit.rs`.
@@ -478,8 +471,12 @@ fn gate_slack() -> f64 {
 }
 
 fn main() -> ExitCode {
-    let baselines = match load_baselines() {
-        Ok(b) => b,
+    // "abt_buy/150e_2616cands" → "abt_buy".
+    let baselines: Vec<(String, f64)> = match load_after_ns("BENCH_autolf.json", "") {
+        Ok(b) => b
+            .into_iter()
+            .map(|(case, ns)| (case.split('/').next().unwrap_or(&case).to_string(), ns))
+            .collect(),
         Err(e) => {
             eprintln!("bench_gate: {e}");
             return ExitCode::FAILURE;
@@ -533,18 +530,20 @@ fn main() -> ExitCode {
     }
 
     // EM-fit gate: label-model fit time on the planted matrix must hold
-    // the BENCH_emfit.json line.
-    match load_emfit_baselines() {
+    // the BENCH_emfit.json line. The `em_step/*` kernel-comparison case
+    // documents the packed-vote speedup; it is not a line to hold.
+    match load_after_ns("BENCH_emfit.json", "em_fit/") {
         Ok(emfit_baselines) => {
             use panda_model::{LabelModel, PandaModel, SnorkelModel};
             let planted = emfit_workload();
-            let mut report = String::from("{\n  \"cases\": [\n");
-            for (idx, (id, baseline_ns)) in emfit_baselines.iter().enumerate() {
-                let fit: fn(&panda_lf::LabelMatrix) -> Vec<f64> = match id.as_str() {
-                    "panda" => |m| PandaModel::new().fit_predict(m, None),
-                    "snorkel" => |m| SnorkelModel::new().fit_predict(m, None),
-                    other => {
-                        eprintln!("bench_gate: unknown em_fit model {other:?}");
+            let mut lines = Vec::new();
+            for (case, baseline_ns) in emfit_baselines {
+                // "em_fit/panda/20k_pairs_10lfs" → "panda".
+                let fit: fn(&panda_lf::LabelMatrix) -> Vec<f64> = match case.split('/').nth(1) {
+                    Some("panda") => |m| PandaModel::new().fit_predict(m, None),
+                    Some("snorkel") => |m| SnorkelModel::new().fit_predict(m, None),
+                    _ => {
+                        eprintln!("bench_gate: unknown em_fit case {case:?}");
                         failed = true;
                         continue;
                     }
@@ -555,34 +554,40 @@ fn main() -> ExitCode {
                     black_box(fit(&planted.matrix));
                 }
                 let mean_ns = started.elapsed().as_nanos() as f64 / f64::from(ITERS);
-                let limit_ns = baseline_ns * limit_factor;
-                let ratio = mean_ns / baseline_ns;
-                let verdict = if mean_ns <= limit_ns { "PASS" } else { "FAIL" };
-                println!(
-                    "  {verdict} em_fit/{:<9} mean {:>12.0} ns/iter  baseline {:>12.0}  ratio {:.2} (limit {:.2})",
-                    id, mean_ns, baseline_ns, ratio, limit_factor
-                );
-                if mean_ns > limit_ns {
-                    failed = true;
-                }
-                if idx > 0 {
-                    report.push_str(",\n");
-                }
-                report.push_str(&format!(
-                    "    {{ \"case\": \"em_fit/{id}\", \"mean_ns\": {mean_ns:.0}, \"baseline_ns\": {baseline_ns:.0}, \"verdict\": \"{verdict}\" }}"
-                ));
+                lines.push((case, mean_ns, baseline_ns));
             }
-            report.push_str("\n  ]\n}\n");
-            let mpath = panda_bench::experiments_dir().join("bench_gate_emfit.metrics.json");
-            if let Err(e) = std::fs::write(&mpath, report) {
-                eprintln!("bench_gate: cannot write {}: {e}", mpath.display());
-                failed = true;
-            } else {
-                println!("       metrics → {}", mpath.display());
-            }
+            failed |= !hold_ns_lines("emfit", &lines, limit_factor);
         }
         Err(e) => {
             eprintln!("bench_gate: em_fit gate: {e}");
+            failed = true;
+        }
+    }
+
+    // LF-application gate: full apply and incremental add_column must hold
+    // the BENCH_lfapply.json lines, on the same workloads and with the
+    // single compute worker the baseline was recorded with.
+    match load_after_ns("BENCH_lfapply.json", "") {
+        Ok(lfapply_baselines) => {
+            use panda_bench::lfapply::{add_column_case, apply_case};
+            panda_exec::set_worker_override(Some(1));
+            let cases = [apply_case(), add_column_case()];
+            let mut lines = Vec::new();
+            for (case, baseline_ns) in lfapply_baselines {
+                let Some(workload) = cases.iter().find(|c| c.name == case) else {
+                    eprintln!("bench_gate: no lf-apply workload for case {case:?}");
+                    failed = true;
+                    continue;
+                };
+                workload.time(1);
+                let mean_ns = workload.time(u64::from(ITERS)).as_nanos() as f64 / f64::from(ITERS);
+                lines.push((case, mean_ns, baseline_ns));
+            }
+            panda_exec::set_worker_override(None);
+            failed |= !hold_ns_lines("lfapply", &lines, limit_factor);
+        }
+        Err(e) => {
+            eprintln!("bench_gate: lf-apply gate: {e}");
             failed = true;
         }
     }

@@ -12,12 +12,9 @@
 //!
 //! Run: `cargo run --release -p panda-bench --bin e1_labeling_models`
 
-use panda_bench::{curated_lfs, mean, write_csv};
-use panda_datasets::{generate, DatasetFamily, GeneratorConfig};
-use panda_eval::metrics::metrics_at_half;
+use panda_bench::{e1_f1, mean, write_csv};
+use panda_datasets::DatasetFamily;
 use panda_eval::TextTable;
-use panda_model::{LabelModel, MajorityVote, PandaModel, SnorkelModel};
-use panda_session::{PandaSession, SessionConfig};
 
 fn main() {
     panda_bench::init_obs();
@@ -38,36 +35,9 @@ fn main() {
     for family in DatasetFamily::extended_suite() {
         let mut f1 = [Vec::new(), Vec::new(), Vec::new(), Vec::new()];
         for &seed in &seeds {
-            let task = generate(family, &GeneratorConfig::new(seed).with_entities(250));
-            let mut session = PandaSession::load(task, SessionConfig::default());
-            for lf in curated_lfs(family) {
-                session.upsert_lf(lf);
+            for (slot, score) in f1.iter_mut().zip(e1_f1(family, seed)) {
+                slot.push(score);
             }
-            session.apply();
-            let gold = session.gold_vector().expect("benchmark gold");
-            let matrix = session.matrix();
-            let cands = session.candidates();
-
-            // Two baselines bracket the comparison:
-            //  * snorkel-2021: the conditionally-independent model as the
-            //    paper compared against — no correlation handling, so the
-            //    intentionally-correlated auto LFs get double counted;
-            //  * snorkel-robust: the same model with our near-duplicate
-            //    evidence discounts, the strongest generic baseline we can
-            //    build. Panda gets the discounts too, so the vs-robust
-            //    column isolates the EM-specific parametrization.
-            let mv = MajorityVote::default().fit_predict(matrix, Some(cands));
-            let sn_plain = SnorkelModel::new().fit_predict(matrix, Some(cands));
-            let sn_robust = SnorkelModel::new()
-                .with_correlation_discounts(0.95)
-                .fit_predict(matrix, Some(cands));
-            let pd = PandaModel::new()
-                .with_correlation_discounts(0.95)
-                .fit_predict(matrix, Some(cands));
-            f1[0].push(metrics_at_half(&mv, &gold).f1);
-            f1[1].push(metrics_at_half(&sn_plain, &gold).f1);
-            f1[2].push(metrics_at_half(&sn_robust, &gold).f1);
-            f1[3].push(metrics_at_half(&pd, &gold).f1);
         }
         let means: Vec<f64> = f1.iter().map(|v| mean(v)).collect();
         let up_plain = if means[1] > 0.0 {

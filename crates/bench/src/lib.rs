@@ -249,6 +249,131 @@ pub fn curated_lfs(family: DatasetFamily) -> Vec<BoxedLf> {
     }
 }
 
+/// E1's setup for one family and seed (EXPERIMENTS.md E1): a
+/// 250-entity task, a default session (auto LFs) plus the curated LFs,
+/// applied once, then four labeling models fitted on the same matrix.
+/// Returns F1 at 0.5 for `[majority, snorkel-2021, snorkel-robust, panda]`;
+/// the robust Snorkel and Panda models get the 0.95 near-duplicate
+/// correlation discounts.
+pub fn e1_f1(family: DatasetFamily, seed: u64) -> [f64; 4] {
+    use panda_eval::metrics::metrics_at_half;
+    use panda_model::{LabelModel, MajorityVote, PandaModel, SnorkelModel};
+    use panda_session::{PandaSession, SessionConfig};
+
+    let task = panda_datasets::generate(
+        family,
+        &panda_datasets::GeneratorConfig::new(seed).with_entities(250),
+    );
+    let mut session = PandaSession::load(task, SessionConfig::default());
+    for lf in curated_lfs(family) {
+        session.upsert_lf(lf);
+    }
+    session.apply();
+    let gold = session.gold_vector().expect("benchmark gold");
+    let (matrix, cands) = (session.matrix(), Some(session.candidates()));
+    // Two Snorkel baselines bracket the comparison:
+    //  * snorkel-2021: the conditionally-independent model as the paper
+    //    compared against — no correlation handling, so the
+    //    intentionally-correlated auto LFs get double counted;
+    //  * snorkel-robust: the same model with our near-duplicate evidence
+    //    discounts, the strongest generic baseline we can build. Panda
+    //    gets the discounts too, so the vs-robust column isolates the
+    //    EM-specific parametrization.
+    [
+        MajorityVote::default().fit_predict(matrix, cands),
+        SnorkelModel::new().fit_predict(matrix, cands),
+        SnorkelModel::new()
+            .with_correlation_discounts(0.95)
+            .fit_predict(matrix, cands),
+        PandaModel::new()
+            .with_correlation_discounts(0.95)
+            .fit_predict(matrix, cands),
+    ]
+    .map(|posteriors| metrics_at_half(&posteriors, &gold).f1)
+}
+
+/// The `BENCH_lfapply.json` workloads, shared by `benches/p4_lf_apply.rs`
+/// and `bench_gate` so both time exactly the same calls.
+pub mod lfapply {
+    use panda_datasets::{generate, DatasetFamily, GeneratorConfig};
+    use panda_embed::{Blocker, EmbeddingLshBlocker};
+    use panda_lf::{BoxedLf, LabelMatrix, LfRegistry};
+    use panda_table::{CandidateSet, TablePair};
+    use std::hint::black_box;
+    use std::time::{Duration, Instant};
+
+    /// One timed LF-application workload.
+    pub struct Case {
+        /// Case key in `BENCH_lfapply.json` (`apply/…` or `add_column/…`).
+        pub name: String,
+        tables: TablePair,
+        cands: CandidateSet,
+        lfs: Vec<BoxedLf>,
+    }
+
+    fn blocked(family: DatasetFamily, entities: usize, seed: u64) -> (TablePair, CandidateSet) {
+        let tables = generate(family, &GeneratorConfig::new(seed).with_entities(entities));
+        let mut blocker = EmbeddingLshBlocker::new(seed);
+        blocker.max_per_record = Some(32);
+        let cands = blocker.candidates(&tables);
+        (tables, cands)
+    }
+
+    /// `LabelMatrix::apply` of the dblp-scholar curated LFs on a fresh
+    /// 200-entity batch: the deployment phase's full apply.
+    pub fn apply_case() -> Case {
+        let (tables, cands) = blocked(DatasetFamily::DblpScholar, 200, 11);
+        Case {
+            name: format!("apply/dblp_scholar_curated/200e_{}cands", cands.len()),
+            tables,
+            cands,
+            lfs: super::curated_lfs(DatasetFamily::DblpScholar),
+        }
+    }
+
+    /// `LabelMatrix::add_column` of the curated `name_overlap` LF on
+    /// abt-buy 300: the IDE's incremental path for one edited LF.
+    pub fn add_column_case() -> Case {
+        let (tables, cands) = blocked(DatasetFamily::AbtBuy, 300, 3);
+        let name_overlap = super::curated_lfs(DatasetFamily::AbtBuy)
+            .into_iter()
+            .find(|lf| lf.name() == "name_overlap")
+            .expect("curated abt-buy set has name_overlap");
+        Case {
+            name: format!("add_column/abt_buy_name_overlap/300e_{}cands", cands.len()),
+            tables,
+            cands,
+            lfs: vec![name_overlap],
+        }
+    }
+
+    impl Case {
+        /// Wall time of `iters` runs of the case's call, each on a fresh
+        /// matrix built outside the clock (`iter_custom`'s contract).
+        pub fn time(&self, iters: u64) -> Duration {
+            let mut total = Duration::ZERO;
+            for _ in 0..iters {
+                let mut matrix = LabelMatrix::new();
+                if self.name.starts_with("apply/") {
+                    let mut registry = LfRegistry::new();
+                    for lf in &self.lfs {
+                        registry.upsert(lf.clone());
+                    }
+                    let started = Instant::now();
+                    black_box(matrix.apply(&registry, &self.tables, &self.cands));
+                    total += started.elapsed();
+                } else {
+                    let started = Instant::now();
+                    black_box(matrix.add_column(&self.lfs[0], 1, &self.tables, &self.cands))
+                        .expect("curated LF applies");
+                    total += started.elapsed();
+                }
+            }
+            total
+        }
+    }
+}
+
 /// Mean of a slice.
 pub fn mean(xs: &[f64]) -> f64 {
     if xs.is_empty() {

@@ -16,10 +16,29 @@
 //!   arbitrary user Python in the original system).
 
 use crate::lf::{LabelingFunction, LfProvenance};
+use crate::prepared::{label_records, prepare_records, PreparedLf, RecordKernel};
 use crate::Label;
-use panda_table::PairRef;
-use panda_text::{CorpusStats, SimilarityConfig};
+use panda_table::{CandidatePair, PairRef, Record, Side, TablePair};
+use panda_text::{CorpusStats, PreparedText, SimilarityConfig};
 use std::sync::Arc;
+
+/// `label` and `prepare` of a [`RecordKernel`] LF: both run its one vote
+/// kernel, per pair or per prepared record.
+macro_rules! record_kernel_paths {
+    () => {
+        fn label(&self, pair: &PairRef<'_>) -> Label {
+            label_records(self, pair)
+        }
+
+        fn prepare<'a>(
+            &'a self,
+            tables: &'a TablePair,
+            pairs: &[CandidatePair],
+        ) -> Box<dyn PreparedLf + 'a> {
+            prepare_records(self, tables, pairs)
+        }
+    };
+}
 
 // ---------------------------------------------------------------------------
 // ClosureLf
@@ -132,15 +151,13 @@ impl SimilarityLf {
     /// The similarity score this LF thresholds, exposed for debugging
     /// panels.
     pub fn score(&self, pair: &PairRef<'_>) -> Option<f64> {
-        let l = pair.left.get(&self.left_attr);
-        let r = pair.right.get(&self.right_attr);
-        if l.is_missing() || r.is_missing() {
-            return None;
+        match (
+            self.prepare_record(Side::Left, &pair.left),
+            self.prepare_record(Side::Right, &pair.right),
+        ) {
+            (Some(a), Some(b)) => Some(self.config.score_texts(&a, &b)),
+            _ => None,
         }
-        Some(
-            self.config
-                .score(&l.to_text(), &r.to_text(), self.stats.as_deref()),
-        )
     }
 
     /// Current thresholds `(upper, lower)`.
@@ -157,31 +174,40 @@ impl SimilarityLf {
     }
 }
 
-impl LabelingFunction for SimilarityLf {
-    fn name(&self) -> &str {
-        &self.name
+/// Per record: the attribute prepared for the measure (with this LF's
+/// corpus IDF), or `None` when it is missing.
+impl RecordKernel for SimilarityLf {
+    type State = Option<PreparedText>;
+
+    fn prepare_record(&self, side: Side, record: &Record<'_>) -> Self::State {
+        let attr = match side {
+            Side::Left => &self.left_attr,
+            Side::Right => &self.right_attr,
+        };
+        let v = record.get(attr);
+        (!v.is_missing()).then(|| self.config.prepare(&v.to_text(), self.stats.as_deref()))
     }
 
-    fn label(&self, pair: &PairRef<'_>) -> Label {
-        let l = pair.left.get(&self.left_attr);
-        let r = pair.right.get(&self.right_attr);
-        if l.is_missing() || r.is_missing() {
+    fn vote_states(&self, left: &Self::State, right: &Self::State) -> Label {
+        let (Some(a), Some(b)) = (left, right) else {
             return Label::Abstain;
-        }
-        // classify_thresholds == scoring then comparing, but edit-distance
+        };
+        // classify_texts == scoring then comparing, but edit-distance
         // measures get the banded DP instead of the full one.
-        match self.config.classify_thresholds(
-            &l.to_text(),
-            &r.to_text(),
-            self.stats.as_deref(),
-            self.upper,
-            self.lower,
-        ) {
+        match self.config.classify_texts(a, b, self.upper, self.lower) {
             std::cmp::Ordering::Greater => Label::Match,
             std::cmp::Ordering::Less => Label::NonMatch,
             std::cmp::Ordering::Equal => Label::Abstain,
         }
     }
+}
+
+impl LabelingFunction for SimilarityLf {
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    record_kernel_paths!();
 
     fn description(&self) -> String {
         format!(
@@ -260,21 +286,18 @@ impl ExtractionLf {
             },
         )
     }
-
-    fn gather(&self, rec: &panda_table::Record<'_>) -> Vec<String> {
-        let text: Vec<String> = self.attrs.iter().map(|a| rec.text(a)).collect();
-        (self.extract)(&text.join(" "))
-    }
 }
 
-impl LabelingFunction for ExtractionLf {
-    fn name(&self) -> &str {
-        &self.name
+/// Per record: the keys extracted from its concatenated attributes.
+impl RecordKernel for ExtractionLf {
+    type State = Vec<String>;
+
+    fn prepare_record(&self, _side: Side, record: &Record<'_>) -> Self::State {
+        let text: Vec<String> = self.attrs.iter().map(|a| record.text(a)).collect();
+        (self.extract)(&text.join(" "))
     }
 
-    fn label(&self, pair: &PairRef<'_>) -> Label {
-        let a = self.gather(&pair.left);
-        let b = self.gather(&pair.right);
+    fn vote_states(&self, a: &Self::State, b: &Self::State) -> Label {
         if a.is_empty() || b.is_empty() {
             return Label::Abstain;
         }
@@ -286,6 +309,14 @@ impl LabelingFunction for ExtractionLf {
             (false, _) => Label::NonMatch,
         }
     }
+}
+
+impl LabelingFunction for ExtractionLf {
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    record_kernel_paths!();
 
     fn description(&self) -> String {
         format!("extract over [{}], {:?}", self.attrs.join(","), self.policy)
@@ -323,18 +354,20 @@ impl AttributeEqualityLf {
     }
 }
 
-impl LabelingFunction for AttributeEqualityLf {
-    fn name(&self) -> &str {
-        &self.name
+/// Per record: the normalised attribute text, or `None` when missing.
+impl RecordKernel for AttributeEqualityLf {
+    type State = Option<String>;
+
+    fn prepare_record(&self, _side: Side, record: &Record<'_>) -> Self::State {
+        let v = record.get(&self.attr);
+        (!v.is_missing()).then(|| Self::norm(&v.to_text()))
     }
 
-    fn label(&self, pair: &PairRef<'_>) -> Label {
-        let l = pair.left.get(&self.attr);
-        let r = pair.right.get(&self.attr);
-        if l.is_missing() || r.is_missing() {
+    fn vote_states(&self, left: &Self::State, right: &Self::State) -> Label {
+        let (Some(l), Some(r)) = (left, right) else {
             return Label::Abstain;
-        }
-        if Self::norm(&l.to_text()) == Self::norm(&r.to_text()) {
+        };
+        if l == r {
             Label::Match
         } else if self.unmatch_on_differ {
             Label::NonMatch
@@ -342,6 +375,14 @@ impl LabelingFunction for AttributeEqualityLf {
             Label::Abstain
         }
     }
+}
+
+impl LabelingFunction for AttributeEqualityLf {
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    record_kernel_paths!();
 
     fn description(&self) -> String {
         format!(
@@ -390,13 +431,16 @@ impl NumericToleranceLf {
     }
 }
 
-impl LabelingFunction for NumericToleranceLf {
-    fn name(&self) -> &str {
-        &self.name
+/// Per record: the attribute parsed as a number, when it parses.
+impl RecordKernel for NumericToleranceLf {
+    type State = Option<f64>;
+
+    fn prepare_record(&self, _side: Side, record: &Record<'_>) -> Self::State {
+        record.number(&self.attr)
     }
 
-    fn label(&self, pair: &PairRef<'_>) -> Label {
-        let Some((a, b)) = pair.numbers(&self.attr) else {
+    fn vote_states(&self, left: &Self::State, right: &Self::State) -> Label {
+        let (Some(a), Some(b)) = (*left, *right) else {
             return Label::Abstain;
         };
         let denom = a.abs().max(b.abs());
@@ -412,6 +456,14 @@ impl LabelingFunction for NumericToleranceLf {
             Label::Abstain
         }
     }
+}
+
+impl LabelingFunction for NumericToleranceLf {
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    record_kernel_paths!();
 
     fn description(&self) -> String {
         format!(

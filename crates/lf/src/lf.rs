@@ -1,7 +1,8 @@
 //! The LF trait and the life-cycle registry.
 
+use crate::prepared::{PerPair, PreparedLf};
 use crate::Label;
-use panda_table::PairRef;
+use panda_table::{CandidatePair, PairRef, TablePair};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -18,6 +19,24 @@ pub trait LabelingFunction: Send + Sync {
 
     /// Vote on one pair.
     fn label(&self, pair: &PairRef<'_>) -> Label;
+
+    /// Prepare to vote on `pairs` of `tables` — how the label matrix runs
+    /// an LF: once per LF per apply, then one [`PreparedLf::vote`] per
+    /// pair. The default prepares nothing and calls [`label`] per pair.
+    /// Override it (see [`crate::prepared::RecordKernel`]) when most of
+    /// `label`'s work depends on one record at a time; the contract is in
+    /// DESIGN.md §12: pure per-record state, work bounded by the records
+    /// `pairs` reference, votes identical to `label`. A panic here
+    /// quarantines the LF like a panic in `label`.
+    ///
+    /// [`label`]: LabelingFunction::label
+    fn prepare<'a>(
+        &'a self,
+        tables: &'a TablePair,
+        _pairs: &[CandidatePair],
+    ) -> Box<dyn PreparedLf + 'a> {
+        Box::new(PerPair { lf: self, tables })
+    }
 
     /// One-line human description shown in the LF Stats Panel.
     fn description(&self) -> String {

@@ -19,6 +19,8 @@
 //!   application** (only new/modified LFs are executed) and **failure
 //!   quarantine** (an LF that panics is reported, not fatal — the IDE must
 //!   survive buggy user code),
+//! * [`prepared`] — how the matrix runs an LF: prepared once per apply
+//!   from the records the candidate set references, then voted per pair,
 //! * [`stats`] — per-LF coverage / overlap / conflict statistics and the
 //!   FPR/FNR estimates the LF Stats Panel displays.
 //!
@@ -51,6 +53,7 @@ pub mod label;
 pub mod lf;
 pub mod library;
 pub mod matrix;
+pub mod prepared;
 pub mod stats;
 
 pub use builders::{
@@ -60,4 +63,5 @@ pub use label::Label;
 pub use lf::{BoxedLf, LabelingFunction, LfRegistry};
 pub use library::{address_matcher, organization_matcher, people_matcher, phone_matcher};
 pub use matrix::{ApplyReport, ColumnSnapshot, LabelMatrix, PackedVotes, VOTES_PER_WORD};
+pub use prepared::{label_records, prepare_records, PreparedLf, RecordKernel};
 pub use stats::{lf_stats, LfStatsRow};

@@ -1,8 +1,9 @@
 //! The `pairs × LFs` label matrix with incremental application.
 
 use crate::lf::{BoxedLf, LfRegistry};
+use crate::prepared::PreparedLf;
 use crate::Label;
-use panda_table::{CandidateSet, TablePair};
+use panda_table::{CandidatePair, CandidateSet, TablePair};
 
 /// Pairs per work item when applying LFs. A property of the data layout,
 /// *not* of the worker count: results are identical under any
@@ -261,10 +262,6 @@ impl LabelMatrix {
             }
         }
 
-        // Compute missing columns on the shared executor. Work items are
-        // (LF × pair-block), so an expensive LF's column is spread over
-        // all workers instead of pinning one thread, and a panicking LF
-        // only poisons its own items (quarantine, not crash).
         let pairs = candidates.pairs();
         let n_blocks = pairs.len().div_ceil(PAIR_BLOCK).max(1);
         panda_obs::counter_add("lf.matrix.work_items", (jobs.len() * n_blocks) as u64);
@@ -272,39 +269,14 @@ impl LabelMatrix {
             "lf.matrix.labels_computed",
             (jobs.len() * pairs.len()) as u64,
         );
-        let results = panda_exec::par_try_map_range(jobs.len() * n_blocks, |item| {
-            let lf = &registry.lfs()[jobs[item / n_blocks]];
-            let start = (item % n_blocks) * PAIR_BLOCK;
-            let end = (start + PAIR_BLOCK).min(pairs.len());
-            let mut out = Vec::with_capacity(end - start);
-            for &pair in &pairs[start..end] {
-                let label = match tables.pair_ref(pair) {
-                    Ok(p) => lf.label(&p),
-                    Err(_) => Label::Abstain,
-                };
-                out.push(label);
-            }
-            out
-        });
+        let lfs: Vec<&BoxedLf> = jobs.iter().map(|&idx| &registry.lfs()[idx]).collect();
+        let columns = label_columns(&lfs, tables, pairs);
 
-        for (j, &idx) in jobs.iter().enumerate() {
-            let lf = &registry.lfs()[idx];
+        for (lf, column) in lfs.iter().zip(columns) {
             let name = lf.name().to_string();
             let version = registry.version(&name).unwrap_or(0);
-            let mut votes = PackedVotes::with_capacity(pairs.len());
-            let mut failure: Option<String> = None;
-            for block in &results[j * n_blocks..(j + 1) * n_blocks] {
-                match block {
-                    Ok(part) => part.iter().for_each(|&l| votes.push(l)),
-                    Err(payload) => {
-                        // First failing block wins (deterministic message).
-                        failure = Some(panic_message(payload.as_ref()));
-                        break;
-                    }
-                }
-            }
-            match failure {
-                None => {
+            match column {
+                Ok(votes) => {
                     report.applied.push(name.clone());
                     match self.columns.iter_mut().find(|c| c.name == name) {
                         Some(c) => {
@@ -318,7 +290,7 @@ impl LabelMatrix {
                         }),
                     }
                 }
-                Some(msg) => {
+                Err(msg) => {
                     // Quarantine: drop any stale column, report the panic.
                     self.columns.retain(|c| c.name != name);
                     report.failed.push((name, msg));
@@ -396,37 +368,20 @@ impl LabelMatrix {
         let n_blocks = pairs.len().div_ceil(PAIR_BLOCK).max(1);
         panda_obs::counter_add("lf.matrix.column_work_items", n_blocks as u64);
         panda_obs::counter_add("lf.matrix.column_labels_computed", pairs.len() as u64);
-        let results = panda_exec::par_try_map_range(n_blocks, |block| {
-            let start = block * PAIR_BLOCK;
-            let end = (start + PAIR_BLOCK).min(pairs.len());
-            let mut out = Vec::with_capacity(end - start);
-            for &pair in &pairs[start..end] {
-                let label = match tables.pair_ref(pair) {
-                    Ok(p) => lf.label(&p),
-                    Err(_) => Label::Abstain,
-                };
-                out.push(label);
-            }
-            out
-        });
-
-        let mut votes = PackedVotes::with_capacity(pairs.len());
-        for block in &results {
-            match block {
-                Ok(part) => part.iter().for_each(|&l| votes.push(l)),
-                Err(payload) => {
-                    let msg = panic_message(payload.as_ref());
-                    if panda_obs::journal_enabled() {
-                        panda_obs::event("lf.column")
-                            .field("lf", lf.name())
-                            .field("action", "quarantined")
-                            .field("error", msg.as_str())
-                            .emit();
-                    }
-                    return Err(msg);
+        let column = label_columns(&[lf], tables, pairs).pop();
+        let votes = match column.expect("one column per LF") {
+            Ok(votes) => votes,
+            Err(msg) => {
+                if panda_obs::journal_enabled() {
+                    panda_obs::event("lf.column")
+                        .field("lf", lf.name())
+                        .field("action", "quarantined")
+                        .field("error", msg.as_str())
+                        .emit();
                 }
+                return Err(msg);
             }
-        }
+        };
 
         let name = lf.name().to_string();
         match self.columns.iter_mut().find(|c| c.name == name) {
@@ -576,6 +531,61 @@ pub struct ColumnSnapshot {
     pub labels: Vec<i8>,
 }
 
+/// Label `pairs` with each of `lfs` — the one labelling loop behind
+/// [`LabelMatrix::apply`] and [`LabelMatrix::add_column`]. Each LF is
+/// prepared once ([`crate::LabelingFunction::prepare`]); the work items
+/// are then (LF × pair-block), so an expensive LF's column is spread over
+/// all workers instead of pinning one thread, and each item votes by
+/// record id. A panic while preparing or voting quarantines only that LF:
+/// its entry is the panic message (the first failing block's, so the
+/// message is deterministic). The prepared state lives only until the
+/// votes are in; it is freed before the columns are packed.
+fn label_columns(
+    lfs: &[&BoxedLf],
+    tables: &TablePair,
+    pairs: &[CandidatePair],
+) -> Vec<Result<PackedVotes, String>> {
+    let prepared: Vec<Result<Box<dyn PreparedLf + '_>, String>> = {
+        let _span = panda_obs::span("lf.matrix.prepare");
+        panda_exec::par_try_map_range(lfs.len(), |j| lfs[j].prepare(tables, pairs))
+            .into_iter()
+            .map(|r| r.map_err(|payload| panic_message(payload.as_ref())))
+            .collect()
+    };
+    let n_blocks = pairs.len().div_ceil(PAIR_BLOCK).max(1);
+    let blocks = panda_exec::par_try_map_range(lfs.len() * n_blocks, |item| {
+        let Ok(lf) = &prepared[item / n_blocks] else {
+            return Vec::new();
+        };
+        let start = (item % n_blocks) * PAIR_BLOCK;
+        let end = (start + PAIR_BLOCK).min(pairs.len());
+        pairs[start..end]
+            .iter()
+            .map(|&p| lf.vote(p))
+            .collect::<Vec<Label>>()
+    });
+    // Every vote is in: free the prepared state before packing.
+    let prepare_errors: Vec<Option<String>> = prepared.into_iter().map(Result::err).collect();
+
+    prepare_errors
+        .into_iter()
+        .zip(blocks.chunks(n_blocks))
+        .map(|(prepare_error, lf_blocks)| {
+            if let Some(msg) = prepare_error {
+                return Err(msg);
+            }
+            let mut votes = PackedVotes::with_capacity(pairs.len());
+            for block in lf_blocks {
+                let part = block
+                    .as_ref()
+                    .map_err(|payload| panic_message(payload.as_ref()))?;
+                part.iter().for_each(|&l| votes.push(l));
+            }
+            Ok(votes)
+        })
+        .collect()
+}
+
 fn fingerprint(candidates: &CandidateSet) -> u64 {
     let mut h: u64 = 0xcbf29ce484222325;
     for p in candidates.pairs() {
@@ -708,6 +718,47 @@ mod tests {
         // The good LF still applied.
         assert!(m.column("good").is_some());
         assert!(m.column("buggy").is_none());
+    }
+
+    /// An LF whose `prepare` panics: quarantined like a panicking block.
+    struct PanicsInPrepare;
+
+    impl crate::LabelingFunction for PanicsInPrepare {
+        fn name(&self) -> &str {
+            "bad_prepare"
+        }
+        fn label(&self, _: &panda_table::PairRef<'_>) -> Label {
+            Label::Match
+        }
+        fn prepare<'a>(
+            &'a self,
+            _: &'a TablePair,
+            _: &[CandidatePair],
+        ) -> Box<dyn PreparedLf + 'a> {
+            panic!("prepare blew up")
+        }
+    }
+
+    #[test]
+    fn panicking_prepare_is_quarantined() {
+        let (tables, cands) = tiny();
+        let mut reg = LfRegistry::new();
+        reg.upsert(eq_lf("good"));
+        reg.upsert(Arc::new(PanicsInPrepare));
+        let mut m = LabelMatrix::new();
+        let report = m.apply(&reg, &tables, &cands);
+        assert_eq!(report.applied, vec!["good"]);
+        assert_eq!(
+            report.failed,
+            vec![("bad_prepare".to_string(), "prepare blew up".to_string())]
+        );
+        assert!(m.column("bad_prepare").is_none());
+
+        let before = m.digest();
+        let bad: BoxedLf = Arc::new(PanicsInPrepare);
+        let err = m.add_column(&bad, 7, &tables, &cands).unwrap_err();
+        assert_eq!(err, "prepare blew up");
+        assert_eq!(m.digest(), before, "failed add leaves the matrix intact");
     }
 
     #[test]

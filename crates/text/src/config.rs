@@ -10,7 +10,7 @@ use crate::prepared::PreparedRef;
 use crate::preprocess::{apply_pipeline, Preprocess};
 use crate::sim;
 use crate::tokenize::Tokenizer;
-use crate::weight::{tf_weights, tfidf_weights, uniform_weights, CorpusStats, SortedWeights};
+use crate::weight::{CorpusStats, SortedWeights};
 use serde::{Deserialize, Serialize};
 
 /// Token weighting scheme (axis 3).
@@ -97,6 +97,20 @@ pub struct SimilarityConfig {
     pub measure: Measure,
 }
 
+/// One string prepared for a [`SimilarityConfig`]'s measure: exactly what
+/// the measure's kernel reads (see [`SimilarityConfig::prepare`]).
+#[derive(Debug, Clone, PartialEq)]
+pub enum PreparedText {
+    /// Jaccard and cosine: the sorted weight vector.
+    Weights(SortedWeights),
+    /// Dice and overlap: sorted, deduplicated token hashes.
+    Hashes(Vec<u64>),
+    /// Levenshtein and Jaro-Winkler: the preprocessed string's chars.
+    Chars(Vec<char>),
+    /// Monge-Elkan: each token's chars.
+    Tokens(sim::TokenChars),
+}
+
 impl SimilarityConfig {
     /// The workhorse default: lowercase+clean, whitespace tokens, uniform
     /// weights, Jaccard — the measure behind the paper's `name_overlap`.
@@ -127,73 +141,76 @@ impl SimilarityConfig {
         )
     }
 
-    /// Preprocess + tokenize one string.
-    pub fn tokens(&self, input: &str) -> Vec<String> {
-        let cleaned = apply_pipeline(&self.preprocess, input);
-        self.tokenizer.tokens(&cleaned)
-    }
-
     /// Score a pair of strings in `[0,1]`. `stats` supplies corpus IDF for
     /// [`Weighting::TfIdf`]; pass `None` to fall back to TF.
     pub fn score(&self, a: &str, b: &str, stats: Option<&CorpusStats>) -> f64 {
+        self.score_texts(&self.prepare(a, stats), &self.prepare(b, stats))
+    }
+
+    /// Prepare one string for this configuration's measure: preprocess,
+    /// then keep exactly what the measure's kernel reads. Scoring one
+    /// string against many prepares it once.
+    pub fn prepare(&self, text: &str, stats: Option<&CorpusStats>) -> PreparedText {
+        let cleaned = apply_pipeline(&self.preprocess, text);
+        let mut buf = String::new();
         match self.measure {
-            Measure::Levenshtein => {
-                let ca = apply_pipeline(&self.preprocess, a);
-                let cb = apply_pipeline(&self.preprocess, b);
-                sim::levenshtein_similarity(&ca, &cb)
+            Measure::Levenshtein | Measure::JaroWinkler => {
+                PreparedText::Chars(cleaned.chars().collect())
             }
-            Measure::JaroWinkler => {
-                let ca = apply_pipeline(&self.preprocess, a);
-                let cb = apply_pipeline(&self.preprocess, b);
-                sim::jaro_winkler(&ca, &cb)
-            }
-            Measure::MongeElkan => {
-                let ta = self.tokens(a);
-                let tb = self.tokens(b);
-                sim::monge_elkan_sym(&ta, &tb, sim::jaro_winkler)
-            }
-            Measure::Dice => {
-                let (ta, tb) = (self.tokens(a), self.tokens(b));
-                sim::dice(&ta, &tb)
-            }
-            Measure::Overlap => {
-                let (ta, tb) = (self.tokens(a), self.tokens(b));
-                sim::overlap_coefficient(&ta, &tb)
-            }
+            Measure::MongeElkan => PreparedText::Tokens(sim::TokenChars::new(
+                &self.tokenizer.token_strs(&cleaned, &mut buf),
+            )),
+            Measure::Dice | Measure::Overlap => PreparedText::Hashes(sim::sorted_token_hashes(
+                &self.tokenizer.token_strs(&cleaned, &mut buf),
+            )),
             Measure::Jaccard | Measure::Cosine => {
-                let (ta, tb) = (self.tokens(a), self.tokens(b));
-                let build = |toks: &[String]| {
-                    SortedWeights::from_weighted(&match (self.weighting, stats) {
-                        (Weighting::Uniform, _) => uniform_weights(toks),
-                        (Weighting::Tf, _) | (Weighting::TfIdf, None) => tf_weights(toks),
-                        (Weighting::TfIdf, Some(s)) => tfidf_weights(toks, s),
-                    })
-                };
-                let (wa, wb) = (build(&ta), build(&tb));
-                match self.measure {
-                    Measure::Jaccard => sim::weighted_jaccard_sorted(&wa, &wb),
-                    _ => sim::weighted_cosine_sorted(&wa, &wb),
-                }
+                PreparedText::Weights(SortedWeights::from_tokens(
+                    &self.tokenizer.token_strs(&cleaned, &mut buf),
+                    self.weighting,
+                    stats,
+                ))
             }
         }
     }
 
-    /// Three-way threshold decision for an LF vote: `Greater` when
-    /// `score(a, b) > upper`, `Less` when `score(a, b) < lower`, `Equal`
-    /// (abstain) otherwise.
+    /// Score two strings prepared by [`SimilarityConfig::prepare`] under
+    /// this configuration — the one scoring kernel behind
+    /// [`SimilarityConfig::score`].
     ///
-    /// Exactly equivalent to calling [`SimilarityConfig::score`] and
-    /// comparing — same float expressions, same NaN behaviour — but
-    /// [`Measure::Levenshtein`] is decided through the banded DP: only
+    /// # Panics
+    ///
+    /// When a text was prepared for a different measure.
+    pub fn score_texts(&self, a: &PreparedText, b: &PreparedText) -> f64 {
+        use PreparedText as P;
+        match (self.measure, a, b) {
+            (Measure::Levenshtein, P::Chars(a), P::Chars(b)) => {
+                sim::levenshtein_similarity_chars(a, b)
+            }
+            (Measure::JaroWinkler, P::Chars(a), P::Chars(b)) => sim::jaro_winkler_chars(a, b),
+            (Measure::MongeElkan, P::Tokens(a), P::Tokens(b)) => {
+                sim::monge_elkan_jaro_winkler(a, b)
+            }
+            (Measure::Dice, P::Hashes(a), P::Hashes(b)) => sim::dice_sorted(a, b),
+            (Measure::Overlap, P::Hashes(a), P::Hashes(b)) => sim::overlap_sorted(a, b),
+            (Measure::Jaccard, P::Weights(a), P::Weights(b)) => sim::weighted_jaccard_sorted(a, b),
+            (Measure::Cosine, P::Weights(a), P::Weights(b)) => sim::weighted_cosine_sorted(a, b),
+            (m, _, _) => panic!("texts were not prepared for measure {m:?}"),
+        }
+    }
+
+    /// Three-way threshold decision on prepared texts — the vote kernel
+    /// of similarity LFs: `Greater` when `score_texts(a, b) > upper`,
+    /// `Less` when it is `< lower`, `Equal` (abstain) otherwise.
+    ///
+    /// Exactly equivalent to scoring with [`SimilarityConfig::score_texts`]
+    /// and comparing — same float expressions, same NaN behaviour — but
+    /// [`Measure::Levenshtein`] is decided through the banded DP: only the
     /// edit distances that could still keep the score at or above `lower`
-    /// are explored, and a length gap beyond the band exits in O(1).
-    /// Thresholded callers (similarity LFs vote on every candidate pair)
-    /// should use this instead of scoring then comparing.
-    pub fn classify_thresholds(
+    /// are explored, and a length gap beyond that band exits in O(1).
+    pub fn classify_texts(
         &self,
-        a: &str,
-        b: &str,
-        stats: Option<&CorpusStats>,
+        a: &PreparedText,
+        b: &PreparedText,
         upper: f64,
         lower: f64,
     ) -> std::cmp::Ordering {
@@ -207,19 +224,18 @@ impl SimilarityConfig {
                 Ordering::Equal
             }
         };
-        if self.measure != Measure::Levenshtein {
-            return cmp(self.score(a, b, stats));
-        }
-        let ca = apply_pipeline(&self.preprocess, a);
-        let cb = apply_pipeline(&self.preprocess, b);
-        let la = ca.chars().count();
-        let lb = cb.chars().count();
+        let (Measure::Levenshtein, PreparedText::Chars(ca), PreparedText::Chars(cb)) =
+            (self.measure, a, b)
+        else {
+            return cmp(self.score_texts(a, b));
+        };
+        let (la, lb) = (ca.len(), cb.len());
         if la == 0 && lb == 0 {
             return cmp(1.0);
         }
         if lower.is_nan() {
             // `s < NaN` never holds, so only the upper bound matters.
-            return if sim::levenshtein_similarity_exceeds(&ca, &cb, upper) {
+            return if sim::levenshtein_similarity_exceeds_chars(ca, cb, upper) {
                 Ordering::Greater
             } else {
                 Ordering::Equal
@@ -247,7 +263,7 @@ impl SimilarityConfig {
                 hi = mid - 1;
             }
         }
-        match sim::levenshtein_bounded(&ca, &cb, lo) {
+        match sim::levenshtein_bounded_chars(ca, cb, lo) {
             Some(d) => cmp(sim_of(d)),
             None => Ordering::Less,
         }
@@ -275,12 +291,7 @@ impl SimilarityConfig {
                 match (a.weights, b.weights) {
                     (Some(wa), Some(wb)) => result(wa, wb),
                     _ => {
-                        let build = |toks: &[String]| {
-                            SortedWeights::from_weighted(&match self.weighting {
-                                Weighting::Uniform => uniform_weights(toks),
-                                Weighting::Tf | Weighting::TfIdf => tf_weights(toks),
-                            })
-                        };
+                        let build = |toks| SortedWeights::from_tokens(toks, self.weighting, None);
                         result(&build(a.tokens), &build(b.tokens))
                     }
                 }
@@ -407,11 +418,11 @@ mod tests {
     }
 
     proptest! {
-        /// `classify_thresholds` is exactly "score, then compare" for
-        /// every measure in the grid — in particular the banded
-        /// Levenshtein path must reproduce the full-DP vote bit for bit.
+        /// `classify_texts` is exactly "score, then compare" for every
+        /// measure in the grid — in particular the banded Levenshtein
+        /// path must reproduce the full-DP vote bit for bit.
         #[test]
-        fn classify_thresholds_matches_score_comparison(
+        fn classify_texts_matches_score_comparison(
             a in "[a-cé ]{0,10}",
             b in "[a-cé ]{0,10}",
             idx in 0usize..36,
@@ -430,7 +441,7 @@ mod tests {
                 Ordering::Equal
             };
             prop_assert_eq!(
-                cfg.classify_thresholds(&a, &b, None, upper, lower),
+                cfg.classify_texts(&cfg.prepare(&a, None), &cfg.prepare(&b, None), upper, lower),
                 expected,
                 "{} s={} upper={} lower={}", cfg.id(), s, upper, lower
             );

@@ -56,7 +56,7 @@ pub mod stem;
 pub mod tokenize;
 pub mod weight;
 
-pub use config::{Measure, SimilarityConfig, Weighting};
+pub use config::{Measure, PreparedText, SimilarityConfig, Weighting};
 pub use prepared::{ColumnKey, PreparedColumn, PreparedRef, TokenCache, WeightKey};
 pub use preprocess::{apply_pipeline, Preprocess};
 pub use tokenize::Tokenizer;

@@ -25,7 +25,7 @@ use crate::config::Weighting;
 use crate::preprocess::{apply_pipeline, Preprocess};
 use crate::sim::sorted_token_hashes;
 use crate::tokenize::Tokenizer;
-use crate::weight::{tf_weights, tfidf_weights, uniform_weights, CorpusStats, SortedWeights};
+use crate::weight::{CorpusStats, SortedWeights};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -159,13 +159,7 @@ impl PreparedColumn {
     ) -> Vec<SortedWeights> {
         self.tokens
             .iter()
-            .map(|toks| {
-                SortedWeights::from_weighted(&match (weighting, stats) {
-                    (Weighting::Uniform, _) => uniform_weights(toks),
-                    (Weighting::Tf, _) | (Weighting::TfIdf, None) => tf_weights(toks),
-                    (Weighting::TfIdf, Some(s)) => tfidf_weights(toks, s),
-                })
-            })
+            .map(|toks| SortedWeights::from_tokens(toks, weighting, stats))
             .collect()
     }
 }

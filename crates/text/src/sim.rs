@@ -3,7 +3,7 @@
 //! Every function returns a similarity in `[0, 1]` (1 = identical), so
 //! thresholds compose uniformly. Token-set measures take token slices;
 //! weighted measures take [`WeightedTokens`] maps; string measures take
-//! `&str`.
+//! `&str`, over `_chars` kernels on char slices.
 
 use crate::weight::{SortedWeights, WeightedTokens};
 
@@ -234,39 +234,92 @@ pub fn weighted_cosine_sorted(a: &SortedWeights, b: &SortedWeights) -> f64 {
 // ---------------------------------------------------------------------------
 // String (edit-based) measures
 // ---------------------------------------------------------------------------
+//
+// The kernels work on char slices and allocate nothing per call: the DP
+// rows and match flags they need live in a per-thread work buffer that
+// grows to the longest input its thread has seen (up to `KEEP_WORDS`).
+// The `&str` functions collect chars and call them; callers that score one
+// string against many (prepared LF state) collect once.
 
-/// Levenshtein edit distance (unit costs), O(|a|·|b|) time, O(min) space.
-pub fn levenshtein(a: &str, b: &str) -> usize {
-    let a: Vec<char> = a.chars().collect();
-    let b: Vec<char> = b.chars().collect();
-    levenshtein_chars(&a, &b)
+thread_local! {
+    static WORK: std::cell::RefCell<Vec<u64>> = const { std::cell::RefCell::new(Vec::new()) };
 }
 
-/// [`levenshtein`] over already-collected char slices — lets callers that
-/// need the char counts anyway (normalised similarity) collect once.
-fn levenshtein_chars(a: &[char], b: &[char]) -> usize {
+/// Work-buffer words (512 KiB) a thread keeps between calls. A call needing
+/// more — a Levenshtein DP over strings past ~32k chars — frees its buffer
+/// when it returns, so one huge input does not pin memory on every thread.
+const KEEP_WORDS: usize = 1 << 16;
+
+/// Run `f` on `words` words of this thread's work buffer (contents left over
+/// from earlier calls; `f` initialises what it reads). Kernels never nest
+/// buffer borrows.
+fn with_work<R>(words: usize, f: impl FnOnce(&mut [u64]) -> R) -> R {
+    WORK.with(|cell| {
+        let mut buf = cell.borrow_mut();
+        if buf.len() < words {
+            buf.resize(words, 0);
+        }
+        let out = f(&mut buf[..words]);
+        if buf.len() > KEEP_WORDS {
+            *buf = Vec::new();
+        }
+        out
+    })
+}
+
+#[inline]
+fn bit(flags: &[u64], i: usize) -> bool {
+    flags[i / 64] >> (i % 64) & 1 == 1
+}
+
+#[inline]
+fn set_bit(flags: &mut [u64], i: usize) {
+    flags[i / 64] |= 1 << (i % 64);
+}
+
+fn chars(s: &str) -> Vec<char> {
+    s.chars().collect()
+}
+
+/// Levenshtein edit distance (unit costs), O(|a|·|b|) time.
+pub fn levenshtein(a: &str, b: &str) -> usize {
+    levenshtein_chars(&chars(a), &chars(b))
+}
+
+/// [`levenshtein`] over char slices: the full DP on two work-buffer rows.
+pub fn levenshtein_chars(a: &[char], b: &[char]) -> usize {
     let (a, b) = if a.len() < b.len() { (a, b) } else { (b, a) };
     if a.is_empty() {
         return b.len();
     }
-    let mut prev: Vec<usize> = (0..=a.len()).collect();
-    let mut cur = vec![0usize; a.len() + 1];
-    for (j, cb) in b.iter().enumerate() {
-        cur[0] = j + 1;
-        for (i, ca) in a.iter().enumerate() {
-            let cost = usize::from(ca != cb);
-            cur[i + 1] = (prev[i] + cost).min(prev[i + 1] + 1).min(cur[i] + 1);
+    let n = a.len() + 1;
+    with_work(2 * n, |rows| {
+        let (mut prev, mut cur) = rows.split_at_mut(n);
+        for (i, p) in prev.iter_mut().enumerate() {
+            *p = i as u64;
         }
-        std::mem::swap(&mut prev, &mut cur);
-    }
-    prev[a.len()]
+        for (j, cb) in b.iter().enumerate() {
+            cur[0] = j as u64 + 1;
+            for (i, ca) in a.iter().enumerate() {
+                let cost = u64::from(ca != cb);
+                cur[i + 1] = (prev[i] + cost).min(prev[i + 1] + 1).min(cur[i] + 1);
+            }
+            std::mem::swap(&mut prev, &mut cur);
+        }
+        prev[a.len()] as usize
+    })
 }
 
 /// Levenshtein with early exit: returns `None` when the distance exceeds
 /// `max`. Banded: O((|a|+|b|)·max) time.
 pub fn levenshtein_bounded(a: &str, b: &str, max: usize) -> Option<usize> {
-    let a: Vec<char> = a.chars().collect();
-    let b: Vec<char> = b.chars().collect();
+    levenshtein_bounded_chars(&chars(a), &chars(b), max)
+}
+
+/// [`levenshtein_bounded`] over char slices. Each row touches only its
+/// band `|i − j| ≤ max` plus the one cell past it that the next row reads,
+/// so the cost stays O((|a|+|b|)·max) however long the strings are.
+pub fn levenshtein_bounded_chars(a: &[char], b: &[char], max: usize) -> Option<usize> {
     let (a, b) = if a.len() < b.len() { (a, b) } else { (b, a) };
     if b.len() - a.len() > max {
         return None;
@@ -274,50 +327,60 @@ pub fn levenshtein_bounded(a: &str, b: &str, max: usize) -> Option<usize> {
     if a.is_empty() {
         return (b.len() <= max).then_some(b.len());
     }
-    const BIG: usize = usize::MAX / 2;
-    let mut prev = vec![BIG; a.len() + 1];
-    let mut cur = vec![BIG; a.len() + 1];
-    for (i, p) in prev.iter_mut().enumerate().take(max.min(a.len()) + 1) {
-        *p = i;
-    }
-    for (j, cb) in b.iter().enumerate() {
-        // Band over i: |i - j| ≤ max (chars beyond can't recover).
-        let lo = j.saturating_sub(max);
-        let hi = (j + max + 1).min(a.len());
-        cur[0] = if j < max { j + 1 } else { BIG };
-        if lo > 0 {
-            cur[lo] = BIG;
+    const BIG: u64 = u64::MAX / 2;
+    let n = a.len() + 1;
+    with_work(2 * n, |rows| {
+        let (mut prev, mut cur) = rows.split_at_mut(n);
+        let top = max.min(a.len());
+        for (i, p) in prev[..=top].iter_mut().enumerate() {
+            *p = i as u64;
         }
-        let mut row_min = cur[0];
-        for i in lo..hi {
-            let cost = usize::from(a[i] != *cb);
-            let v = (prev[i] + cost)
-                .min(prev[i + 1].saturating_add(1))
-                .min(cur[i].saturating_add(1));
-            cur[i + 1] = v;
-            row_min = row_min.min(v);
+        if top < a.len() {
+            prev[top + 1] = BIG;
         }
-        if row_min > max {
-            return None;
+        for (j, cb) in b.iter().enumerate() {
+            // Band over i: |i - j| ≤ max (chars beyond can't recover).
+            let lo = j.saturating_sub(max);
+            let hi = j.saturating_add(max).saturating_add(1).min(a.len());
+            cur[0] = if j < max { j as u64 + 1 } else { BIG };
+            if lo > 0 {
+                cur[lo] = BIG;
+            }
+            let mut row_min = cur[0];
+            for i in lo..hi {
+                let cost = u64::from(a[i] != *cb);
+                let v = (prev[i] + cost)
+                    .min(prev[i + 1].saturating_add(1))
+                    .min(cur[i].saturating_add(1));
+                cur[i + 1] = v;
+                row_min = row_min.min(v);
+            }
+            if row_min > max as u64 {
+                return None;
+            }
+            // The next row's band reaches one cell further right.
+            if hi < a.len() {
+                cur[hi + 1] = BIG;
+            }
+            std::mem::swap(&mut prev, &mut cur);
         }
-        std::mem::swap(&mut prev, &mut cur);
-        for v in cur.iter_mut() {
-            *v = BIG;
-        }
-    }
-    let d = prev[a.len()];
-    (d <= max).then_some(d)
+        let d = prev[a.len()] as usize;
+        (d <= max).then_some(d)
+    })
 }
 
 /// Normalised Levenshtein similarity `1 − d / max(|a|,|b|)`.
 pub fn levenshtein_similarity(a: &str, b: &str) -> f64 {
-    let a: Vec<char> = a.chars().collect();
-    let b: Vec<char> = b.chars().collect();
+    levenshtein_similarity_chars(&chars(a), &chars(b))
+}
+
+/// [`levenshtein_similarity`] over char slices.
+pub fn levenshtein_similarity_chars(a: &[char], b: &[char]) -> f64 {
     if a.is_empty() && b.is_empty() {
         return 1.0;
     }
     let maxlen = a.len().max(b.len());
-    1.0 - levenshtein_chars(&a, &b) as f64 / maxlen as f64
+    1.0 - levenshtein_chars(a, b) as f64 / maxlen as f64
 }
 
 /// Does `levenshtein_similarity(a, b) > threshold` hold? Decides the
@@ -329,8 +392,12 @@ pub fn levenshtein_similarity(a: &str, b: &str) -> f64 {
 /// of O(|a|·|b|). Exactly equivalent to computing the similarity and
 /// comparing, including ties lost to float rounding.
 pub fn levenshtein_similarity_exceeds(a: &str, b: &str, threshold: f64) -> bool {
-    let la = a.chars().count();
-    let lb = b.chars().count();
+    levenshtein_similarity_exceeds_chars(&chars(a), &chars(b), threshold)
+}
+
+/// [`levenshtein_similarity_exceeds`] over char slices.
+pub fn levenshtein_similarity_exceeds_chars(a: &[char], b: &[char], threshold: f64) -> bool {
+    let (la, lb) = (a.len(), b.len());
     if la == 0 && lb == 0 {
         return 1.0 > threshold;
     }
@@ -349,13 +416,34 @@ pub fn levenshtein_similarity_exceeds(a: &str, b: &str, threshold: f64) -> bool 
             hi = mid - 1;
         }
     }
-    levenshtein_bounded(a, b, lo).is_some()
+    levenshtein_bounded_chars(a, b, lo).is_some()
 }
 
 /// Jaro similarity.
 pub fn jaro(a: &str, b: &str) -> f64 {
-    let a: Vec<char> = a.chars().collect();
-    let b: Vec<char> = b.chars().collect();
+    jaro_chars(&chars(a), &chars(b))
+}
+
+/// [`jaro`] over char slices.
+pub fn jaro_chars(a: &[char], b: &[char]) -> f64 {
+    with_work(jaro_flag_words(a.len(), b.len()), |flags| {
+        jaro_in(a, b, flags)
+    })
+}
+
+/// Match-flag words [`jaro_in`] needs for strings of `la` and `lb` chars.
+fn jaro_flag_words(la: usize, lb: usize) -> usize {
+    la.div_ceil(64) + lb.div_ceil(64)
+}
+
+/// The Jaro kernel, with `flags` (at least [`jaro_flag_words`] words) as
+/// match-flag buffer.
+///
+/// Symmetric bit for bit: per character, the greedy window matching is the
+/// same two-pointer walk over that character's positions whichever side
+/// leads, so both directions match the same position pairs, count the same
+/// transpositions, and add the same two terms.
+fn jaro_in(a: &[char], b: &[char], flags: &mut [u64]) -> f64 {
     if a.is_empty() && b.is_empty() {
         return 1.0;
     }
@@ -363,16 +451,18 @@ pub fn jaro(a: &str, b: &str) -> f64 {
         return 0.0;
     }
     let window = (a.len().max(b.len()) / 2).saturating_sub(1);
-    let mut b_used = vec![false; b.len()];
+    let (a_used, rest) = flags.split_at_mut(a.len().div_ceil(64));
+    let b_used = &mut rest[..b.len().div_ceil(64)];
+    a_used.fill(0);
+    b_used.fill(0);
     let mut matches = 0usize;
-    let mut a_matched = Vec::with_capacity(a.len());
     for (i, ca) in a.iter().enumerate() {
         let lo = i.saturating_sub(window);
         let hi = (i + window + 1).min(b.len());
-        for j in lo..hi {
-            if !b_used[j] && b[j] == *ca {
-                b_used[j] = true;
-                a_matched.push((i, j));
+        for (j, cb) in b.iter().enumerate().take(hi).skip(lo) {
+            if cb == ca && !bit(b_used, j) {
+                set_bit(b_used, j);
+                set_bit(a_used, i);
                 matches += 1;
                 break;
             }
@@ -381,20 +471,20 @@ pub fn jaro(a: &str, b: &str) -> f64 {
     if matches == 0 {
         return 0.0;
     }
-    // Transpositions: compare the matched chars of `a` (in a-order) with
-    // the matched chars of `b` (in b-order); half the positions that
-    // disagree.
-    let a_seq: Vec<char> = a_matched.iter().map(|&(i, _)| a[i]).collect();
-    let b_seq: Vec<char> = {
-        let mut with_idx: Vec<(usize, char)> = a_matched.iter().map(|&(_, j)| (j, b[j])).collect();
-        with_idx.sort_unstable_by_key(|&(j, _)| j);
-        with_idx.into_iter().map(|(_, c)| c).collect()
-    };
-    let transpositions = a_seq
-        .iter()
-        .zip(b_seq.iter())
-        .filter(|(x, y)| x != y)
-        .count();
+    // Transpositions: walk the matched chars of `a` (in a-order) and of
+    // `b` (in b-order) in step; half the positions that disagree.
+    let mut transpositions = 0usize;
+    let mut k = 0usize;
+    for (i, ca) in a.iter().enumerate() {
+        if !bit(a_used, i) {
+            continue;
+        }
+        while !bit(b_used, k) {
+            k += 1;
+        }
+        transpositions += usize::from(*ca != b[k]);
+        k += 1;
+    }
     let t = transpositions as f64 / 2.0;
     let m = matches as f64;
     (m / a.len() as f64 + m / b.len() as f64 + (m - t) / m) / 3.0
@@ -402,13 +492,21 @@ pub fn jaro(a: &str, b: &str) -> f64 {
 
 /// Jaro-Winkler similarity with the standard prefix scale 0.1, prefix ≤ 4.
 pub fn jaro_winkler(a: &str, b: &str) -> f64 {
-    let j = jaro(a, b);
-    let prefix = a
-        .chars()
-        .zip(b.chars())
-        .take(4)
-        .take_while(|(x, y)| x == y)
-        .count() as f64;
+    jaro_winkler_chars(&chars(a), &chars(b))
+}
+
+/// [`jaro_winkler`] over char slices.
+pub fn jaro_winkler_chars(a: &[char], b: &[char]) -> f64 {
+    with_work(jaro_flag_words(a.len(), b.len()), |flags| {
+        jaro_winkler_in(a, b, flags)
+    })
+}
+
+/// The Jaro-Winkler kernel over [`jaro_in`]; symmetric bit for bit like it
+/// (the common prefix is too).
+fn jaro_winkler_in(a: &[char], b: &[char], flags: &mut [u64]) -> f64 {
+    let j = jaro_in(a, b, flags);
+    let prefix = a.iter().zip(b).take(4).take_while(|(x, y)| x == y).count() as f64;
     (j + prefix * 0.1 * (1.0 - j)).clamp(0.0, 1.0)
 }
 
@@ -443,6 +541,83 @@ where
     F: Fn(&str, &str) -> f64 + Copy,
 {
     monge_elkan(a, b, inner).min(monge_elkan(b, a, inner))
+}
+
+/// A token list as chars: every token's chars in one buffer plus each
+/// token's end offset — what the Monge-Elkan kernel reads.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct TokenChars {
+    chars: Vec<char>,
+    ends: Vec<u32>,
+}
+
+impl TokenChars {
+    /// Collect the chars of `tokens`, in order.
+    pub fn new<S: AsRef<str>>(tokens: &[S]) -> Self {
+        let mut out = TokenChars::default();
+        for t in tokens {
+            out.chars.extend(t.as_ref().chars());
+            out.ends.push(out.chars.len() as u32);
+        }
+        out
+    }
+
+    /// Number of tokens.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// True when there are no tokens.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// The chars of token `i`.
+    pub fn token(&self, i: usize) -> &[char] {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] as usize };
+        &self.chars[start..self.ends[i] as usize]
+    }
+
+    /// Chars in the longest token.
+    fn longest(&self) -> usize {
+        (0..self.len())
+            .map(|i| self.token(i).len())
+            .max()
+            .unwrap_or(0)
+    }
+}
+
+/// Symmetrised Monge-Elkan with Jaro-Winkler inner similarity over char
+/// tokens: `monge_elkan_sym(a, b, jaro_winkler)` on the same tokens, bit
+/// for bit. Jaro-Winkler is symmetric bit for bit, so each token pair is
+/// scored once and feeds both directions: its row's best for `ME(a, b)`
+/// and its column's best for `ME(b, a)`, each folded in the order the
+/// two-pass version folds it.
+pub fn monge_elkan_jaro_winkler(a: &TokenChars, b: &TokenChars) -> f64 {
+    if a.is_empty() || b.is_empty() {
+        return if a.is_empty() && b.is_empty() {
+            1.0
+        } else {
+            0.0
+        };
+    }
+    let flag_words = jaro_flag_words(a.longest(), b.longest());
+    with_work(b.len() + flag_words, |buf| {
+        let (col_best, flags) = buf.split_at_mut(b.len());
+        col_best.fill(0.0f64.to_bits());
+        let mut total_a = 0.0;
+        for i in 0..a.len() {
+            let mut best = 0.0f64;
+            for (j, col) in col_best.iter_mut().enumerate() {
+                let s = jaro_winkler_in(a.token(i), b.token(j), flags);
+                best = best.max(s);
+                *col = f64::from_bits(*col).max(s).to_bits();
+            }
+            total_a += best;
+        }
+        let total_b = col_best.iter().fold(0.0, |acc, &c| acc + f64::from_bits(c));
+        (total_a / a.len() as f64).min(total_b / b.len() as f64)
+    })
 }
 
 /// Exact equality after trimming, as a 0/1 similarity.
@@ -520,6 +695,148 @@ mod tests {
             return 0.0;
         }
         a.intersection(&b).count() as f64 / denom
+    }
+
+    // Oracles: the pre-kernel `&str` string measures, kept verbatim so
+    // property tests pin the char-slice kernels to them bit for bit.
+    mod oracle {
+        pub fn levenshtein(a: &str, b: &str) -> usize {
+            let a: Vec<char> = a.chars().collect();
+            let b: Vec<char> = b.chars().collect();
+            let (a, b) = if a.len() < b.len() { (a, b) } else { (b, a) };
+            if a.is_empty() {
+                return b.len();
+            }
+            let mut prev: Vec<usize> = (0..=a.len()).collect();
+            let mut cur = vec![0usize; a.len() + 1];
+            for (j, cb) in b.iter().enumerate() {
+                cur[0] = j + 1;
+                for (i, ca) in a.iter().enumerate() {
+                    let cost = usize::from(ca != cb);
+                    cur[i + 1] = (prev[i] + cost).min(prev[i + 1] + 1).min(cur[i] + 1);
+                }
+                std::mem::swap(&mut prev, &mut cur);
+            }
+            prev[a.len()]
+        }
+
+        pub fn levenshtein_bounded(a: &str, b: &str, max: usize) -> Option<usize> {
+            let a: Vec<char> = a.chars().collect();
+            let b: Vec<char> = b.chars().collect();
+            let (a, b) = if a.len() < b.len() { (a, b) } else { (b, a) };
+            if b.len() - a.len() > max {
+                return None;
+            }
+            if a.is_empty() {
+                return (b.len() <= max).then_some(b.len());
+            }
+            const BIG: usize = usize::MAX / 2;
+            let mut prev = vec![BIG; a.len() + 1];
+            let mut cur = vec![BIG; a.len() + 1];
+            for (i, p) in prev.iter_mut().enumerate().take(max.min(a.len()) + 1) {
+                *p = i;
+            }
+            for (j, cb) in b.iter().enumerate() {
+                let lo = j.saturating_sub(max);
+                let hi = (j + max + 1).min(a.len());
+                cur[0] = if j < max { j + 1 } else { BIG };
+                if lo > 0 {
+                    cur[lo] = BIG;
+                }
+                let mut row_min = cur[0];
+                for i in lo..hi {
+                    let cost = usize::from(a[i] != *cb);
+                    let v = (prev[i] + cost)
+                        .min(prev[i + 1].saturating_add(1))
+                        .min(cur[i].saturating_add(1));
+                    cur[i + 1] = v;
+                    row_min = row_min.min(v);
+                }
+                if row_min > max {
+                    return None;
+                }
+                std::mem::swap(&mut prev, &mut cur);
+                for v in cur.iter_mut() {
+                    *v = BIG;
+                }
+            }
+            let d = prev[a.len()];
+            (d <= max).then_some(d)
+        }
+
+        pub fn jaro(a: &str, b: &str) -> f64 {
+            let a: Vec<char> = a.chars().collect();
+            let b: Vec<char> = b.chars().collect();
+            if a.is_empty() && b.is_empty() {
+                return 1.0;
+            }
+            if a.is_empty() || b.is_empty() {
+                return 0.0;
+            }
+            let window = (a.len().max(b.len()) / 2).saturating_sub(1);
+            let mut b_used = vec![false; b.len()];
+            let mut matches = 0usize;
+            let mut a_matched = Vec::with_capacity(a.len());
+            for (i, ca) in a.iter().enumerate() {
+                let lo = i.saturating_sub(window);
+                let hi = (i + window + 1).min(b.len());
+                for j in lo..hi {
+                    if !b_used[j] && b[j] == *ca {
+                        b_used[j] = true;
+                        a_matched.push((i, j));
+                        matches += 1;
+                        break;
+                    }
+                }
+            }
+            if matches == 0 {
+                return 0.0;
+            }
+            let a_seq: Vec<char> = a_matched.iter().map(|&(i, _)| a[i]).collect();
+            let b_seq: Vec<char> = {
+                let mut with_idx: Vec<(usize, char)> =
+                    a_matched.iter().map(|&(_, j)| (j, b[j])).collect();
+                with_idx.sort_unstable_by_key(|&(j, _)| j);
+                with_idx.into_iter().map(|(_, c)| c).collect()
+            };
+            let transpositions = a_seq
+                .iter()
+                .zip(b_seq.iter())
+                .filter(|(x, y)| x != y)
+                .count();
+            let t = transpositions as f64 / 2.0;
+            let m = matches as f64;
+            (m / a.len() as f64 + m / b.len() as f64 + (m - t) / m) / 3.0
+        }
+
+        pub fn jaro_winkler(a: &str, b: &str) -> f64 {
+            let j = jaro(a, b);
+            let prefix = a
+                .chars()
+                .zip(b.chars())
+                .take(4)
+                .take_while(|(x, y)| x == y)
+                .count() as f64;
+            (j + prefix * 0.1 * (1.0 - j)).clamp(0.0, 1.0)
+        }
+
+        pub fn monge_elkan(a: &[String], b: &[String]) -> f64 {
+            if a.is_empty() {
+                return if b.is_empty() { 1.0 } else { 0.0 };
+            }
+            if b.is_empty() {
+                return 0.0;
+            }
+            let mut total = 0.0;
+            for ta in a {
+                let best = b
+                    .iter()
+                    .map(|tb| jaro_winkler(ta, tb))
+                    .fold(0.0f64, f64::max);
+                total += best;
+            }
+            total / a.len() as f64
+        }
     }
 
     #[test]
@@ -607,6 +924,17 @@ mod tests {
         let b = WeightedTokens::new();
         assert_eq!(weighted_cosine(&a, &b), 0.0);
         assert_eq!(weighted_cosine(&b, &b), 1.0);
+    }
+
+    #[test]
+    fn oversized_work_buffer_is_released() {
+        let a: Vec<char> = "ab".repeat(KEEP_WORDS).chars().collect();
+        let mut b = a.clone();
+        b[7] = 'z';
+        assert_eq!(levenshtein_bounded_chars(&a, &b, 2), Some(1));
+        assert_eq!(WORK.with(|s| s.borrow().len()), 0);
+        assert_eq!(levenshtein_bounded_chars(&a[..100], &b[..100], 2), Some(1));
+        assert!(WORK.with(|s| s.borrow().len()) <= KEEP_WORDS);
     }
 
     #[test]
@@ -818,18 +1146,80 @@ mod tests {
         }
 
         /// The bounded variant agrees with the exact one whenever it
-        /// returns a value.
+        /// returns a value — on strings several times longer than the
+        /// band, so rows far past its start are exercised.
         #[test]
         fn bounded_matches_exact(
-            a in "[abc]{0,10}",
-            b in "[abc]{0,10}",
-            max in 0usize..8,
+            a in "[abc]{0,48}",
+            b in "[abc]{0,48}",
+            max in 0usize..12,
         ) {
             let exact_d = levenshtein(&a, &b);
             match levenshtein_bounded(&a, &b, max) {
                 Some(d) => prop_assert_eq!(d, exact_d),
                 None => prop_assert!(exact_d > max),
             }
+        }
+
+        /// The char-slice Levenshtein kernels equal the pre-kernel
+        /// versions exactly, for every band width — including bands far
+        /// narrower than the strings and non-ASCII input.
+        #[test]
+        fn levenshtein_kernels_match_oracle(
+            a in "[abé本 ]{0,40}",
+            b in "[abé本 ]{0,40}",
+            max in 0usize..48,
+        ) {
+            prop_assert_eq!(levenshtein(&a, &b), oracle::levenshtein(&a, &b));
+            prop_assert_eq!(
+                levenshtein_bounded(&a, &b, max),
+                oracle::levenshtein_bounded(&a, &b, max)
+            );
+        }
+
+        /// Jaro and Jaro-Winkler over char slices equal the pre-kernel
+        /// versions bit for bit, across the 64-char flag-word boundary.
+        #[test]
+        fn jaro_kernels_match_oracle_bit_exactly(
+            a in "[abcé本]{0,80}",
+            b in "[abcé本]{0,80}",
+        ) {
+            prop_assert_eq!(jaro(&a, &b).to_bits(), oracle::jaro(&a, &b).to_bits());
+            prop_assert_eq!(
+                jaro_winkler(&a, &b).to_bits(),
+                oracle::jaro_winkler(&a, &b).to_bits()
+            );
+        }
+
+        /// Jaro and Jaro-Winkler are symmetric bit for bit — what lets
+        /// the Monge-Elkan kernel score each token pair once.
+        #[test]
+        fn jaro_is_symmetric_bit_exactly(
+            a in "[abc本]{0,12}",
+            b in "[abc本]{0,12}",
+        ) {
+            prop_assert_eq!(jaro(&a, &b).to_bits(), jaro(&b, &a).to_bits());
+            prop_assert_eq!(jaro_winkler(&a, &b).to_bits(), jaro_winkler(&b, &a).to_bits());
+            prop_assert_eq!(
+                oracle::jaro_winkler(&a, &b).to_bits(),
+                oracle::jaro_winkler(&b, &a).to_bits()
+            );
+        }
+
+        /// Monge-Elkan with Jaro-Winkler over token chars equals the
+        /// pre-kernel `&str` version bit for bit, in both directions.
+        #[test]
+        fn monge_elkan_kernel_matches_oracle_bit_exactly(
+            a in proptest::collection::vec("[abcé本]{0,6}", 0..6),
+            b in proptest::collection::vec("[abcé本]{0,6}", 0..6),
+        ) {
+            let want = oracle::monge_elkan(&a, &b).min(oracle::monge_elkan(&b, &a));
+            let got = monge_elkan_jaro_winkler(&TokenChars::new(&a), &TokenChars::new(&b));
+            prop_assert_eq!(got.to_bits(), want.to_bits());
+            prop_assert_eq!(
+                monge_elkan_sym(&a, &b, jaro_winkler).to_bits(),
+                want.to_bits()
+            );
         }
 
         /// Jaro(-Winkler) stays in [0,1] and is 1 on equal strings.

@@ -5,6 +5,7 @@
 //! the former. [`CorpusStats`] accumulates document frequencies over one or
 //! both input tables and hands out per-token IDF weights.
 
+use crate::config::Weighting;
 use std::collections::HashMap;
 
 /// Corpus-level document-frequency statistics for TF-IDF weighting.
@@ -119,6 +120,43 @@ impl SortedWeights {
         )
     }
 
+    /// The weight vector of a token list under `weighting` — bit for bit
+    /// `from_weighted` of [`uniform_weights`], [`tf_weights`] or
+    /// [`tfidf_weights`] (TF-IDF without `stats` falls back to TF), built
+    /// by sorting the tokens instead of filling a map with copies of them.
+    pub fn from_tokens<S: AsRef<str>>(
+        tokens: &[S],
+        weighting: Weighting,
+        stats: Option<&CorpusStats>,
+    ) -> Self {
+        let mut keyed: Vec<(u64, &str)> = tokens
+            .iter()
+            .map(|t| (crate::sim::token_hash(t.as_ref()), t.as_ref()))
+            .collect();
+        keyed.sort_unstable();
+        // Each run of equal `(hash, token)` is one distinct token; its
+        // length is the token's count, exact in f64 like the map's `+= 1.0`.
+        let mut entries = Vec::with_capacity(keyed.len());
+        let mut start = 0;
+        while start < keyed.len() {
+            let (hash, token) = keyed[start];
+            let end = start
+                + keyed[start..]
+                    .iter()
+                    .take_while(|k| **k == (hash, token))
+                    .count();
+            let count = (end - start) as f64;
+            let w = match (weighting, stats) {
+                (Weighting::Uniform, _) => 1.0,
+                (Weighting::Tf, _) | (Weighting::TfIdf, None) => count,
+                (Weighting::TfIdf, Some(s)) => count * s.idf(token),
+            };
+            entries.push((hash, w));
+            start = end;
+        }
+        Self::from_hashed_entries(entries)
+    }
+
     /// Build from already-hashed `(hash, weight)` entries in any order.
     /// Entries sharing a hash are merged by summing their weights.
     pub fn from_hashed_entries(mut entries: Vec<(u64, f64)>) -> Self {
@@ -201,6 +239,35 @@ mod tests {
         s.add_document(&["a", "b"]);
         let ti = tfidf_weights(&toks, &s);
         assert!(ti["a"] < ti["b"] * 2.0 + 1e-12); // b rarer → higher idf
+    }
+
+    proptest::proptest! {
+        /// `from_tokens` equals the map-built vector bit for bit — same
+        /// entries, same norm — for every weighting, with duplicate tokens
+        /// and a TF-IDF corpus.
+        #[test]
+        fn from_tokens_matches_map_built_weights(
+            tokens in proptest::collection::vec("[ab本]{0,3}", 0..12),
+            docs in proptest::collection::vec(proptest::collection::vec("[ab本]{0,3}", 0..5), 0..6),
+        ) {
+            let mut stats = CorpusStats::new();
+            for d in &docs {
+                stats.add_document(d);
+            }
+            for (weighting, stats, map) in [
+                (Weighting::Uniform, None, uniform_weights(&tokens)),
+                (Weighting::Tf, None, tf_weights(&tokens)),
+                (Weighting::TfIdf, None, tf_weights(&tokens)),
+                (Weighting::TfIdf, Some(&stats), tfidf_weights(&tokens, &stats)),
+            ] {
+                let got = SortedWeights::from_tokens(&tokens, weighting, stats);
+                let want = SortedWeights::from_weighted(&map);
+                let bits = |w: &SortedWeights| {
+                    (w.entries().iter().map(|&(h, x)| (h, x.to_bits())).collect::<Vec<_>>(), w.norm().to_bits())
+                };
+                proptest::prop_assert_eq!(bits(&got), bits(&want), "{:?}", weighting);
+            }
+        }
     }
 
     #[test]
