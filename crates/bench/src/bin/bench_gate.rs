@@ -1,6 +1,7 @@
 //! **Bench-regression gate** — the CI half of the committed
 //! `BENCH_autolf.json` / `BENCH_emfit.json` / `BENCH_lfapply.json` /
-//! `BENCH_serve.json` baselines (see `.github/workflows/ci.yml`).
+//! `BENCH_blocking.json` / `BENCH_serve.json` baselines (see
+//! `.github/workflows/ci.yml`).
 //!
 //! Re-runs the two `p2_autolf_grid` workloads with telemetry enabled and
 //! compares the `autolf.generate` span mean against the committed
@@ -9,8 +10,8 @@
 //! CI sets it higher to absorb shared-runner noise). It then replays the
 //! `p3_em_fit` planted workload through `PandaModel`/`SnorkelModel`
 //! `fit_predict` and holds each against its `em_fit/*` line the same
-//! way, then the `p4_lf_apply` workloads against their
-//! `BENCH_lfapply.json` lines. Finally it boots an
+//! way, then the `p4_lf_apply` and `p5_blocking` workloads against their
+//! `BENCH_lfapply.json` and `BENCH_blocking.json` lines. Finally it boots an
 //! in-process `panda-serve` and drives a short keep-alive `/healthz`
 //! burst: measured throughput must stay above the committed `healthz`
 //! number divided by the same limit factor (throughput gates divide
@@ -32,6 +33,7 @@ use serde::Value;
 use std::hint::black_box;
 use std::io::{Read, Write};
 use std::process::ExitCode;
+use std::time::Duration;
 
 /// Timed iterations per case (plus one untimed warm-up).
 const ITERS: u32 = 3;
@@ -128,6 +130,42 @@ fn load_after_ns(file: &str, prefix: &str) -> Result<Vec<(String, f64)>, String>
         return Err(format!("{path}: no {prefix:?} cases"));
     }
     Ok(out)
+}
+
+/// A named workload and its timer: wall time of `n` runs.
+type Workload<'a> = (&'a str, &'a dyn Fn(u64) -> Duration);
+
+/// Time each workload with a line in `file`, on the single compute worker
+/// the lines were recorded with, and hold those lines (see
+/// [`hold_ns_lines`]).
+fn hold_one_worker_lines(
+    file: &str,
+    name: &str,
+    workloads: &[Workload<'_>],
+    limit_factor: f64,
+) -> bool {
+    let baselines = match load_after_ns(file, "") {
+        Ok(baselines) => baselines,
+        Err(e) => {
+            eprintln!("bench_gate: {name} gate: {e}");
+            return false;
+        }
+    };
+    panda_exec::set_worker_override(Some(1));
+    let mut held = true;
+    let mut lines = Vec::new();
+    for (case, baseline_ns) in baselines {
+        let Some((_, time)) = workloads.iter().find(|(workload, _)| *workload == case) else {
+            eprintln!("bench_gate: no {name} workload for case {case:?}");
+            held = false;
+            continue;
+        };
+        time(1);
+        let mean_ns = time(u64::from(ITERS)).as_nanos() as f64 / f64::from(ITERS);
+        lines.push((case, mean_ns, baseline_ns));
+    }
+    panda_exec::set_worker_override(None);
+    hold_ns_lines(name, &lines, limit_factor) && held
 }
 
 /// Print a verdict per timed line `(case, mean ns, baseline ns)` and write
@@ -564,32 +602,31 @@ fn main() -> ExitCode {
         }
     }
 
-    // LF-application gate: full apply and incremental add_column must hold
-    // the BENCH_lfapply.json lines, on the same workloads and with the
-    // single compute worker the baseline was recorded with.
-    match load_after_ns("BENCH_lfapply.json", "") {
-        Ok(lfapply_baselines) => {
-            use panda_bench::lfapply::{add_column_case, apply_case};
-            panda_exec::set_worker_override(Some(1));
-            let cases = [apply_case(), add_column_case()];
-            let mut lines = Vec::new();
-            for (case, baseline_ns) in lfapply_baselines {
-                let Some(workload) = cases.iter().find(|c| c.name == case) else {
-                    eprintln!("bench_gate: no lf-apply workload for case {case:?}");
-                    failed = true;
-                    continue;
-                };
-                workload.time(1);
-                let mean_ns = workload.time(u64::from(ITERS)).as_nanos() as f64 / f64::from(ITERS);
-                lines.push((case, mean_ns, baseline_ns));
-            }
-            panda_exec::set_worker_override(None);
-            failed |= !hold_ns_lines("lfapply", &lines, limit_factor);
-        }
-        Err(e) => {
-            eprintln!("bench_gate: lf-apply gate: {e}");
-            failed = true;
-        }
+    // LF-application and blocking gates: full apply, incremental
+    // add_column and the deploy and load blocking calls must hold the
+    // BENCH_lfapply.json and BENCH_blocking.json lines.
+    {
+        use panda_bench::{blocking, lfapply};
+        let (apply, add_column) = (lfapply::apply_case(), lfapply::add_column_case());
+        failed |= !hold_one_worker_lines(
+            "BENCH_lfapply.json",
+            "lfapply",
+            &[
+                (&apply.name, &|n| apply.time(n)),
+                (&add_column.name, &|n| add_column.time(n)),
+            ],
+            limit_factor,
+        );
+        let (deploy, load) = (blocking::deploy_case(), blocking::load_case());
+        failed |= !hold_one_worker_lines(
+            "BENCH_blocking.json",
+            "blocking",
+            &[
+                (&deploy.name, &|n| deploy.time(n)),
+                (&load.name, &|n| load.time(n)),
+            ],
+            limit_factor,
+        );
     }
 
     // Serve gate: keep-alive /healthz throughput must hold the line.

@@ -374,6 +374,67 @@ pub mod lfapply {
     }
 }
 
+/// The `BENCH_blocking.json` workloads, shared by `benches/p5_blocking.rs`
+/// and `bench_gate` so both time exactly the same calls.
+pub mod blocking {
+    use panda_datasets::{generate, DatasetFamily, GeneratorConfig};
+    use panda_embed::{Blocker, EmbeddingLshBlocker};
+    use panda_table::TablePair;
+    use std::hint::black_box;
+    use std::time::{Duration, Instant};
+
+    /// One timed blocking workload, with the blocker settings of
+    /// `SessionConfig::default()` (cosine floor 0.25, 32 per record).
+    pub struct Case {
+        /// Case key in `BENCH_blocking.json` (`deploy/…` or `load/…`).
+        pub name: String,
+        tables: TablePair,
+        blocker: EmbeddingLshBlocker,
+    }
+
+    fn case(path: &str, family: DatasetFamily, entities: usize, seed: u64) -> Case {
+        let tables = generate(family, &GeneratorConfig::new(seed).with_entities(entities));
+        let blocker = EmbeddingLshBlocker::new(seed);
+        let cands = blocker.candidates(&tables).len();
+        let family = family.name().replace('-', "_");
+        Case {
+            name: format!("{path}/{family}/{entities}e_{cands}cands"),
+            tables,
+            blocker,
+        }
+    }
+
+    /// `Blocker::candidates` on a fresh 200-entity dblp-scholar batch: the
+    /// deployment phase's blocking.
+    pub fn deploy_case() -> Case {
+        case("deploy", DatasetFamily::DblpScholar, 200, 11)
+    }
+
+    /// `candidates_with_cosines` on abt-buy 300: session load's (and
+    /// `rehydrate`'s) blocking plus the sampler likelihood.
+    pub fn load_case() -> Case {
+        case("load", DatasetFamily::AbtBuy, 300, 3)
+    }
+
+    impl Case {
+        /// Wall time of `iters` runs of the case's call.
+        pub fn time(&self, iters: u64) -> Duration {
+            let started = Instant::now();
+            for _ in 0..iters {
+                if self.name.starts_with("deploy/") {
+                    black_box(self.blocker.candidates(black_box(&self.tables)));
+                } else {
+                    black_box(
+                        self.blocker
+                            .candidates_with_cosines(black_box(&self.tables)),
+                    );
+                }
+            }
+            started.elapsed()
+        }
+    }
+}
+
 /// Mean of a slice.
 pub fn mean(xs: &[f64]) -> f64 {
     if xs.is_empty() {

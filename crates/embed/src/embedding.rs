@@ -52,11 +52,13 @@ impl TupleEmbedder {
     /// Embed arbitrary text.
     pub fn embed_text(&self, text: &str) -> Vec<f32> {
         let cleaned = apply_pipeline(&standard_pipeline(), text);
+        // Tokens are slices of `cleaned` or of `buf`: no feature allocates.
+        let mut buf = String::new();
         let mut v = vec![0.0f32; self.dim];
-        for word in Tokenizer::Whitespace.tokens(&cleaned) {
+        for word in Tokenizer::Whitespace.token_strs(&cleaned, &mut buf) {
             self.add_feature(&mut v, word.as_bytes(), self.word_weight);
         }
-        for gram in Tokenizer::QGram(3).tokens(&cleaned) {
+        for gram in Tokenizer::QGram(3).token_strs(&cleaned, &mut buf) {
             self.add_feature(&mut v, gram.as_bytes(), self.trigram_weight);
         }
         normalize(&mut v);
@@ -112,10 +114,150 @@ fn normalize(v: &mut [f32]) {
     }
 }
 
+/// A vector's nonzero entries, dimensions ascending, with its squared
+/// norm: the form blocking hashes and compares embeddings in.
+///
+/// An entry is kept when it is `!= 0.0`, so `±0.0` entries are dropped and
+/// NaN entries stay.
+#[derive(Debug)]
+pub(crate) struct SparseVec {
+    dims: Vec<u32>,
+    vals: Vec<f32>,
+    sq_norm: f32,
+}
+
+impl SparseVec {
+    /// The nonzero entries of `v`.
+    pub(crate) fn from_dense(v: &[f32]) -> Self {
+        let (dims, vals): (Vec<u32>, Vec<f32>) = (0u32..)
+            .zip(v)
+            .filter(|&(_, &x)| x != 0.0)
+            .map(|(d, &x)| (d, x))
+            .unzip();
+        // The same ascending sum of squares `cosine` takes densely: the
+        // dropped squares are `+0.0`, which leave a sum from `0.0` unchanged.
+        let sq_norm = vals.iter().fold(0.0f32, |acc, x| acc + x * x);
+        SparseVec {
+            dims,
+            vals,
+            sq_norm,
+        }
+    }
+
+    /// The dimensions of the nonzero entries, ascending.
+    pub(crate) fn dims(&self) -> &[u32] {
+        &self.dims
+    }
+
+    /// The nonzero entries, in [`SparseVec::dims`] order.
+    pub(crate) fn vals(&self) -> &[f32] {
+        &self.vals
+    }
+
+    /// The sum of squares `cosine` computes for the dense vector.
+    pub(crate) fn sq_norm(&self) -> f32 {
+        self.sq_norm
+    }
+
+    /// Write the entries into `dense` (whose other entries the caller keeps
+    /// at zero); [`SparseVec::clear`] undoes it.
+    pub(crate) fn scatter(&self, dense: &mut [f32]) {
+        for (&d, &x) in self.dims.iter().zip(&self.vals) {
+            dense[d as usize] = x;
+        }
+    }
+
+    /// Zero the entries [`SparseVec::scatter`] wrote.
+    pub(crate) fn clear(&self, dense: &mut [f32]) {
+        for &d in &self.dims {
+            dense[d as usize] = 0.0;
+        }
+    }
+
+    /// `cosine(a, self)` for the dense `a` with squared norm `a_sq_norm`,
+    /// with the dot product taken over this vector's entries only.
+    ///
+    /// Bit-identical to [`cosine`] when `a` holds no infinity: the dense dot
+    /// adds `a[d] × ±0.0 = ±0.0` wherever this vector is zero, which leaves
+    /// a nonzero partial sum unchanged, and a sum from `0.0` that stays zero
+    /// is `+0.0` either way; the kept terms are added in the same ascending
+    /// order, and the norms are the same sums. NaN entries give NaN both
+    /// ways (or `0.0`, when the other vector is zero). [`TupleEmbedder`]
+    /// never returns an infinity without a NaN beside it: normalising
+    /// divides an infinite entry by an infinite norm.
+    pub(crate) fn cosine_with(&self, a: &[f32], a_sq_norm: f32) -> f32 {
+        let mut dot = 0.0f32;
+        for (&d, &y) in self.dims.iter().zip(&self.vals) {
+            dot += a[d as usize] * y;
+        }
+        if a_sq_norm == 0.0 || self.sq_norm == 0.0 {
+            return 0.0;
+        }
+        dot / (a_sq_norm.sqrt() * self.sq_norm.sqrt())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lsh::tests::vector;
     use proptest::prelude::*;
+
+    /// `embed_text` as it was before token slices: a `String` per word and
+    /// per trigram. Kept as the oracle of the slice path.
+    fn oracle_embed_text(e: &TupleEmbedder, text: &str) -> Vec<f32> {
+        let cleaned = apply_pipeline(&standard_pipeline(), text);
+        let mut v = vec![0.0f32; e.dim];
+        for word in Tokenizer::Whitespace.tokens(&cleaned) {
+            e.add_feature(&mut v, word.as_bytes(), e.word_weight);
+        }
+        for gram in Tokenizer::QGram(3).tokens(&cleaned) {
+            e.add_feature(&mut v, gram.as_bytes(), e.trigram_weight);
+        }
+        normalize(&mut v);
+        v
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Equal bits, or NaN both (a NaN's payload is not part of the
+    /// contract: blocking never keeps a NaN cosine).
+    fn same(a: f32, b: f32) -> bool {
+        a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn embed_text_matches_string_tokens(
+            text in "[a-zé本 .,-]{0,40}",
+            dim in 2usize..300,
+            weights in proptest::sample::select(vec![
+                (1.0f32, 0.4f32), (0.5, 2.0), (0.0, 0.4), (f32::NAN, 0.4),
+                (f32::INFINITY, 0.4), (1e30, 1e30),
+            ]),
+        ) {
+            let e = TupleEmbedder::new(dim).with_weights(weights.0, weights.1);
+            prop_assert_eq!(bits(&e.embed_text(&text)), bits(&oracle_embed_text(&e, &text)));
+        }
+
+        #[test]
+        fn sparse_cosine_matches_dense(
+            (a, b) in (1usize..24, 0u8..=10).prop_flat_map(|(dim, zeros)| {
+                // No infinities on the dense side (see `cosine_with`).
+                (vector(dim, zeros, false), vector(dim, zeros, true))
+            })
+        ) {
+            let sparse = SparseVec::from_dense(&b);
+            let want = cosine(&a, &b);
+            let got = sparse.cosine_with(&a, SparseVec::from_dense(&a).sq_norm());
+            prop_assert!(same(got, want), "sparse {got:?} dense {want:?}");
+            prop_assert!(sparse.vals().iter().all(|&x| x != 0.0));
+        }
+    }
 
     #[test]
     fn identical_text_identical_embedding() {
