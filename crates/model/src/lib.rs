@@ -46,14 +46,12 @@ pub mod snorkel;
 #[doc(hidden)]
 pub mod testutil;
 pub mod transitivity;
-pub mod weighted;
 
 pub use correlation::{evidence_discounts, redundancy_clusters, vote_agreement};
 pub use majority::MajorityVote;
 pub use panda::PandaModel;
 pub use snorkel::SnorkelModel;
 pub use transitivity::{project_transitivity, TransitivityGraph, TransitivityMode};
-pub use weighted::WeightedVote;
 
 use panda_lf::LabelMatrix;
 use panda_table::CandidateSet;

@@ -1,5 +1,12 @@
-//! The durable session store: per-session write-ahead log + compacted
-//! snapshots.
+//! The session op log: one [`OpLog`] per session, with an optional
+//! write-ahead log and compacted snapshots behind it.
+//!
+//! An op log holds the create request, the LF-spec map (LF name →
+//! wire-spec JSON, the recipe that dehydrates the session) and the seq of
+//! the last logged op. Durable primaries and sessions adopted on a
+//! durable shard own a WAL; follower replicas, promoted followers and
+//! sessions on a store-less server do not. Appending, replaying and
+//! snapshotting run the same code either way.
 //!
 //! Layout under the state directory (`panda serve --state-dir`):
 //!
@@ -31,9 +38,9 @@
 //!
 //! **Failure policy.** A WAL append failure surfaces as an error *before*
 //! the response is acknowledged (the op stays applied in memory but the
-//! client sees a 500 and must retry), and the persist handle latches
-//! `broken` so later mutating ops fail fast instead of silently running
-//! undurable. Reads keep working.
+//! client sees a 500 and must retry), and the WAL latches `broken` so
+//! later mutating ops fail fast instead of silently running undurable.
+//! Reads keep working.
 
 use crate::api::{build_tables, CreateSessionRequest, LfSpec};
 use panda_lf::BoxedLf;
@@ -55,6 +62,7 @@ const SNAPSHOT_TMP: &str = "snapshot.json.tmp";
 const BROKEN_MSG: &str =
     "session store is in a failed state (an earlier WAL or snapshot write failed); \
      mutating operations are rejected to avoid silent durability loss";
+const NO_WAL_MSG: &str = "session op log has no WAL";
 
 /// One session-mutating operation, as logged.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -136,60 +144,262 @@ pub fn build_from_spec(name: &str, spec_json: &str) -> Result<BoxedLf, String> {
     spec.build()
 }
 
-/// The digest-verified replay engine shared by crash recovery, the
-/// follower apply loop, and cross-shard handoff: applies [`WalRecord`]s
-/// in sequence, skipping snapshot-covered duplicates, rejecting gaps,
-/// and verifying the post-op matrix digest after every applied record.
+/// Metadata of one logged op. A primary ships `line` verbatim so
+/// followers replay byte-identical records.
+#[derive(Debug, Clone)]
+pub struct Appended {
+    /// The record's sequence number.
+    pub seq: u64,
+    /// Post-op matrix digest logged with the record.
+    pub digest: u64,
+    /// The fsynced JSONL line (no trailing newline); `None` when the log
+    /// has no WAL, so nothing durable exists to ship.
+    pub line: Option<String>,
+}
+
+/// A session's op log: the create request, the LF-spec map and the seq
+/// of the last logged op, plus the session's WAL when it has one. All
+/// calls happen under the session's mutex, so WAL writes and the
+/// snapshot-then-truncate sequence are never concurrent.
+pub struct OpLog {
+    request: CreateSessionRequest,
+    /// LF name → wire-spec JSON for every spec-backed LF currently
+    /// registered — the dehydration recipe map.
+    specs: HashMap<String, String>,
+    seq: u64,
+    wal: Option<Wal>,
+}
+
+impl OpLog {
+    /// The log of a session just created from `request`, at seq 0 and
+    /// without a WAL.
+    pub(crate) fn new(request: CreateSessionRequest) -> OpLog {
+        OpLog {
+            request,
+            specs: HashMap::new(),
+            seq: 0,
+            wal: None,
+        }
+    }
+
+    /// Log one applied op: with a WAL, serialize, append and fsync it,
+    /// then compact when the snapshot cadence is due. Must be called
+    /// *after* the op was applied to `session` (the record carries the
+    /// resulting matrix digest) and *before* the response is
+    /// acknowledged.
+    pub fn append(&mut self, op: WalOp, session: &PandaSession) -> Result<Appended, String> {
+        let rec = WalRecord {
+            seq: self.seq + 1,
+            digest: session.matrix().digest(),
+            op,
+        };
+        let line = match &mut self.wal {
+            Some(wal) => {
+                let line = serde_json::to_string(&rec).map_err(|e| e.0)?;
+                wal.append(&line)?;
+                Some(line)
+            }
+            None => None,
+        };
+        self.track(&rec)?;
+        if self.wal.as_ref().is_some_and(Wal::compaction_due) {
+            if let Err(msg) = self.write_snapshot(session) {
+                // The record itself is already durable; a failed
+                // compaction only costs replay time now and blocks
+                // *future* appends fast via `broken`.
+                eprintln!("panda-serve: snapshot compaction failed: {msg}");
+            }
+        }
+        Ok(Appended {
+            seq: rec.seq,
+            digest: rec.digest,
+            line,
+        })
+    }
+
+    /// Apply one logged non-create record to `session` under the
+    /// recovery rules: a record the log already holds is skipped
+    /// (`Ok(false)`), a gap or a second create is an error, and the
+    /// post-op matrix digest must match. Crash recovery, handoff
+    /// rebuilds and the follower apply loop all run this.
+    pub(crate) fn replay(
+        &mut self,
+        session: &mut PandaSession,
+        rec: &WalRecord,
+    ) -> Result<bool, String> {
+        if rec.seq <= self.seq {
+            return Ok(false);
+        }
+        if rec.seq != self.seq + 1 {
+            return Err(format!("seq gap: record {} follows {}", rec.seq, self.seq));
+        }
+        if matches!(rec.op, WalOp::Create { .. }) {
+            return Err(format!("duplicate create record at seq {}", rec.seq));
+        }
+        apply_op(session, &rec.op).map_err(|e| format!("WAL seq {}: {e}", rec.seq))?;
+        check_digest(session, rec)?;
+        self.track(rec)?;
+        Ok(true)
+    }
+
+    /// Follow one applied record: the single place the spec map and the
+    /// seq move, for appended and replayed ops alike.
+    fn track(&mut self, rec: &WalRecord) -> Result<(), String> {
+        match &rec.op {
+            WalOp::UpsertLf { spec } => {
+                let json = serde_json::to_string(spec).map_err(|e| e.0)?;
+                self.specs.insert(spec.name.clone(), json);
+            }
+            WalOp::RemoveLf { name } => {
+                self.specs.remove(name);
+            }
+            WalOp::Create { .. } | WalOp::Fit | WalOp::Label { .. } => {}
+        }
+        self.seq = rec.seq;
+        Ok(())
+    }
+
+    /// Build (without writing) the snapshot of `session` at this log's
+    /// seq — what compaction persists and what replication ships to a
+    /// freshly subscribed follower.
+    pub fn snapshot_file(&self, session: &PandaSession) -> Result<SnapshotFile, String> {
+        let specs = &self.specs;
+        let state = session.dehydrate(&|name| specs.get(name).cloned())?;
+        Ok(SnapshotFile {
+            format: SNAPSHOT_FORMAT,
+            last_seq: self.seq,
+            config_digest: config_digest(&self.request),
+            request: self.request.clone(),
+            state,
+        })
+    }
+
+    /// Dehydrate the session into `snapshot.json` beside the WAL and
+    /// reset the WAL. Used by the compaction cadence, LRU eviction,
+    /// graceful shutdown and handoff adoption.
+    pub fn write_snapshot(&mut self, session: &PandaSession) -> Result<(), String> {
+        self.wal.as_ref().ok_or(NO_WAL_MSG)?.check()?;
+        let _span = panda_obs::span("persist.snapshot.write");
+        let json = serde_json::to_string(&self.snapshot_file(session)?).map_err(|e| e.0)?;
+        self.wal.as_mut().ok_or(NO_WAL_MSG)?.compact(&json)
+    }
+
+    /// Read this log's on-disk snapshot and WAL records under the
+    /// recovery rules. Runs under the session lock, so the files are
+    /// quiescent.
+    pub fn disk_parts(&self) -> Result<(Option<SnapshotFile>, Vec<WalRecord>), String> {
+        read_parts(&self.wal.as_ref().ok_or(NO_WAL_MSG)?.dir)
+    }
+
+    /// The snapshot + WAL-tail parts `/rebalance` ships: the on-disk
+    /// pair when the log has a WAL, else a fresh snapshot.
+    pub(crate) fn handoff_parts(
+        &self,
+        session: &PandaSession,
+    ) -> Result<(Option<SnapshotFile>, Vec<WalRecord>), String> {
+        match &self.wal {
+            Some(_) => self.disk_parts(),
+            None => Ok((Some(self.snapshot_file(session)?), Vec::new())),
+        }
+    }
+
+    /// Records appended since the last snapshot (replay cost on crash);
+    /// 0 without a WAL.
+    pub fn wal_depth(&self) -> u64 {
+        self.wal.as_ref().map_or(0, |wal| wal.ops_since_snapshot)
+    }
+
+    /// Sequence number of the last logged op.
+    pub fn seq(&self) -> u64 {
+        self.seq
+    }
+}
+
+/// A session's open WAL file plus the bookkeeping to compact it.
+struct Wal {
+    dir: PathBuf,
+    file: File,
+    ops_since_snapshot: u64,
+    snapshot_every: u64,
+    broken: bool,
+}
+
+impl Wal {
+    fn check(&self) -> Result<(), String> {
+        if self.broken {
+            return Err(BROKEN_MSG.into());
+        }
+        Ok(())
+    }
+
+    fn compaction_due(&self) -> bool {
+        self.snapshot_every > 0 && self.ops_since_snapshot >= self.snapshot_every
+    }
+
+    /// Append one serialized record and fsync it. A failure latches
+    /// `broken`.
+    fn append(&mut self, line: &str) -> Result<(), String> {
+        self.check()?;
+        let written = (|| -> std::io::Result<()> {
+            self.file.write_all(line.as_bytes())?;
+            self.file.write_all(b"\n")?;
+            let _fsync = panda_obs::span("persist.wal.fsync");
+            self.file.sync_data()
+        })();
+        if let Err(e) = written {
+            self.broken = true;
+            panda_obs::counter_add("persist.wal.append_failed", 1);
+            return Err(format!("WAL append failed: {e}"));
+        }
+        self.ops_since_snapshot += 1;
+        panda_obs::counter_add("persist.wal.appends", 1);
+        Ok(())
+    }
+
+    /// Write `snapshot_json` as the snapshot (tmp + fsync + rename, then
+    /// dir fsync) and reset the WAL. A failure latches `broken`.
+    fn compact(&mut self, snapshot_json: &str) -> Result<(), String> {
+        let tmp = self.dir.join(SNAPSHOT_TMP);
+        let result = (|| -> std::io::Result<()> {
+            let mut f = File::create(&tmp)?;
+            f.write_all(snapshot_json.as_bytes())?;
+            f.sync_data()?;
+            fs::rename(&tmp, self.dir.join(SNAPSHOT_FILE))?;
+            // Make the rename itself durable, then reset the WAL (safe
+            // under the session lock — no append can interleave). A
+            // crash between rename and reset leaves stale WAL records
+            // with seq <= last_seq, which replay skips.
+            File::open(&self.dir).and_then(|d| d.sync_all())?;
+            self.file.set_len(0)?;
+            self.file.seek(SeekFrom::Start(0))?;
+            self.file.sync_data()
+        })();
+        match result {
+            Ok(()) => {
+                self.ops_since_snapshot = 0;
+                panda_obs::counter_add("persist.snapshots.written", 1);
+                Ok(())
+            }
+            Err(e) => {
+                self.broken = true;
+                Err(format!("snapshot write failed: {e}"))
+            }
+        }
+    }
+}
+
+/// Replays a run of WAL records into a session and its op log: the
+/// first record must be a create unless a snapshot seeded the replayer,
+/// and every later one goes through [`OpLog::replay`].
+#[derive(Default)]
 pub struct Replayer {
-    /// The session being rebuilt (`None` until a snapshot or create).
-    pub session: Option<PandaSession>,
-    /// The original create request (travels with the session).
-    pub request: Option<CreateSessionRequest>,
-    /// LF name → wire-spec JSON: the dehydration recipe map.
-    pub specs: HashMap<String, String>,
-    /// Highest applied (or snapshot-covered) sequence number.
-    pub last_seq: u64,
+    state: Option<(PandaSession, OpLog)>,
 }
 
 impl Replayer {
     /// An empty replayer: the first record must be a create.
     pub fn new() -> Replayer {
-        Replayer {
-            session: None,
-            request: None,
-            specs: HashMap::new(),
-            last_seq: 0,
-        }
-    }
-
-    /// Seed from a snapshot: verifies the format and config digest, then
-    /// rehydrates (which re-runs deterministic blocking and checks the
-    /// persisted matrix digest).
-    pub fn from_snapshot(snap: SnapshotFile) -> Result<Replayer, String> {
-        if snap.format != SNAPSHOT_FORMAT {
-            return Err(format!(
-                "snapshot format {} unsupported (expected {SNAPSHOT_FORMAT})",
-                snap.format
-            ));
-        }
-        if snap.config_digest != config_digest(&snap.request) {
-            return Err("snapshot create-request digest mismatch".into());
-        }
-        let config = snap.request.config.clone().unwrap_or_default().resolve()?;
-        let tables = build_tables(&snap.request)?;
-        let session = PandaSession::rehydrate(tables, config, &snap.state, &build_from_spec)?;
-        let mut specs = HashMap::new();
-        for lf in &snap.state.lfs {
-            if let Some(spec) = &lf.spec {
-                specs.insert(lf.name.clone(), spec.clone());
-            }
-        }
-        Ok(Replayer {
-            session: Some(session),
-            request: Some(snap.request),
-            specs,
-            last_seq: snap.last_seq,
-        })
+        Replayer::default()
     }
 
     /// Apply one record. `Ok(false)` means the record was skipped as a
@@ -198,84 +408,88 @@ impl Replayer {
     /// digest mismatch, or misplaced create is an error — the caller
     /// quarantines instead of serving wrong state.
     pub fn apply(&mut self, rec: &WalRecord) -> Result<bool, String> {
-        if rec.seq <= self.last_seq {
-            return Ok(false);
+        match &mut self.state {
+            Some((session, log)) => log.replay(session, rec),
+            None => {
+                self.state = Some(replay_create(rec)?);
+                Ok(true)
+            }
         }
-        if let WalOp::Create {
-            request,
-            config_digest: logged,
-        } = &rec.op
-        {
-            if rec.seq != self.last_seq + 1 {
-                return Err(format!(
-                    "seq gap: record {} follows {}",
-                    rec.seq, self.last_seq
-                ));
-            }
-            if self.session.is_some() {
-                return Err(format!("duplicate create record at seq {}", rec.seq));
-            }
-            if *logged != config_digest(request) {
-                return Err("create record digest mismatch".into());
-            }
-            let config = request.config.clone().unwrap_or_default().resolve()?;
-            let tables = build_tables(request)?;
-            let session = PandaSession::load(tables, config);
-            let got = session.matrix().digest();
-            if got != rec.digest {
-                return Err(format!(
-                    "matrix digest mismatch at WAL seq {}: logged {:#018x}, replayed {got:#018x}",
-                    rec.seq, rec.digest
-                ));
-            }
-            self.request = Some(request.clone());
-            self.session = Some(session);
-            self.last_seq = rec.seq;
-            return Ok(true);
-        }
-        let session = self
-            .session
-            .as_mut()
-            .ok_or_else(|| format!("WAL op at seq {} before create", rec.seq))?;
-        apply_record(session, &mut self.specs, &mut self.last_seq, rec)
     }
 }
 
-/// Apply one non-create record to a live session under the recovery
-/// rules: skip duplicates, reject gaps, verify the post-op matrix
-/// digest. The follower apply loop runs this directly against the slot
-/// it replicates into.
-pub(crate) fn apply_record(
-    session: &mut PandaSession,
-    specs: &mut HashMap<String, String>,
-    last_seq: &mut u64,
-    rec: &WalRecord,
-) -> Result<bool, String> {
-    if rec.seq <= *last_seq {
-        return Ok(false);
-    }
-    if rec.seq != *last_seq + 1 {
-        return Err(format!("seq gap: record {} follows {}", rec.seq, *last_seq));
-    }
-    if matches!(rec.op, WalOp::Create { .. }) {
-        return Err(format!("duplicate create record at seq {}", rec.seq));
-    }
-    apply_wal_op(session, &rec.op, specs).map_err(|e| format!("WAL seq {}: {e}", rec.seq))?;
-    let got = session.matrix().digest();
-    if got != rec.digest {
+/// Rebuild a session and its op log from a snapshot: verifies the
+/// format and the config digest, then rehydrates (which re-runs
+/// deterministic blocking and checks the persisted matrix digest).
+pub(crate) fn restore(snap: SnapshotFile) -> Result<(PandaSession, OpLog), String> {
+    if snap.format != SNAPSHOT_FORMAT {
         return Err(format!(
-            "matrix digest mismatch at WAL seq {}: logged {:#018x}, replayed {got:#018x}",
-            rec.seq, rec.digest
+            "snapshot format {} unsupported (expected {SNAPSHOT_FORMAT})",
+            snap.format
         ));
     }
-    *last_seq = rec.seq;
-    Ok(true)
+    if snap.config_digest != config_digest(&snap.request) {
+        return Err("snapshot create-request digest mismatch".into());
+    }
+    let config = snap.request.config.clone().unwrap_or_default().resolve()?;
+    let tables = build_tables(&snap.request)?;
+    let session = PandaSession::rehydrate(tables, config, &snap.state, &build_from_spec)?;
+    let specs = snap
+        .state
+        .lfs
+        .iter()
+        .filter_map(|lf| Some((lf.name.clone(), lf.spec.clone()?)))
+        .collect();
+    let log = OpLog {
+        request: snap.request,
+        specs,
+        seq: snap.last_seq,
+        wal: None,
+    };
+    Ok((session, log))
 }
 
-impl Default for Replayer {
-    fn default() -> Self {
-        Replayer::new()
+/// Rebuild a session and its op log from its create record alone.
+pub(crate) fn replay_create(rec: &WalRecord) -> Result<(PandaSession, OpLog), String> {
+    let WalOp::Create {
+        request,
+        config_digest: logged,
+    } = &rec.op
+    else {
+        return Err(format!("WAL op at seq {} before create", rec.seq));
+    };
+    if rec.seq != 1 {
+        return Err(format!("seq gap: record {} follows 0", rec.seq));
     }
+    if *logged != config_digest(request) {
+        return Err("create record digest mismatch".into());
+    }
+    let config = request.config.clone().unwrap_or_default().resolve()?;
+    let tables = build_tables(request)?;
+    let session = PandaSession::load(tables, config);
+    check_digest(&session, rec)?;
+    let mut log = OpLog::new(request.clone());
+    log.track(rec)?;
+    Ok((session, log))
+}
+
+/// Seed from `snapshot` when there is one, then apply `tail`. Yields the
+/// rebuilt session and log (`None` when there is neither a snapshot nor
+/// a create record) and the number of records applied.
+fn replay_parts(
+    snapshot: Option<SnapshotFile>,
+    tail: &[WalRecord],
+) -> Result<(Option<(PandaSession, OpLog)>, u64), String> {
+    let mut replayer = Replayer {
+        state: snapshot.map(restore).transpose()?,
+    };
+    let mut applied = 0;
+    for rec in tail {
+        if replayer.apply(rec)? {
+            applied += 1;
+        }
+    }
+    Ok((replayer.state, applied))
 }
 
 /// Rebuild a session from handed-off parts (optional snapshot + WAL
@@ -283,31 +497,102 @@ impl Default for Replayer {
 /// an out-of-order or digest-mismatched record is an error — the
 /// receiving shard refuses the handoff rather than installing a wrong
 /// session.
-pub fn rebuild(snapshot: Option<SnapshotFile>, tail: &[WalRecord]) -> Result<Replayer, String> {
-    let mut replayer = match snapshot {
-        Some(snap) => Replayer::from_snapshot(snap)?,
-        None => Replayer::new(),
+pub fn rebuild(
+    snapshot: Option<SnapshotFile>,
+    tail: &[WalRecord],
+) -> Result<(PandaSession, OpLog), String> {
+    replay_parts(snapshot, tail)?
+        .0
+        .ok_or_else(|| "handoff carries no snapshot and no create record".into())
+}
+
+fn check_digest(session: &PandaSession, rec: &WalRecord) -> Result<(), String> {
+    let got = session.matrix().digest();
+    if got != rec.digest {
+        return Err(format!(
+            "matrix digest mismatch at WAL seq {}: logged {:#018x}, replayed {got:#018x}",
+            rec.seq, rec.digest
+        ));
+    }
+    Ok(())
+}
+
+/// Replay one non-create op through the same session methods the live
+/// router uses.
+fn apply_op(session: &mut PandaSession, op: &WalOp) -> Result<(), String> {
+    match op {
+        WalOp::UpsertLf { spec } => session.upsert_lf_incremental(spec.build()?)?,
+        WalOp::RemoveLf { name } => {
+            session.remove_lf_incremental(name);
+        }
+        WalOp::Fit => session.fit(),
+        WalOp::Label {
+            candidate,
+            is_match,
+        } => {
+            let i = *candidate as usize;
+            if i >= session.candidates().len() {
+                return Err(format!("label index {i} out of range"));
+            }
+            session.label_pair(i, *is_match);
+        }
+        WalOp::Create { .. } => return Err("unexpected nested create".into()),
+    }
+    Ok(())
+}
+
+/// Read a session directory's snapshot and WAL records: the one reader
+/// behind crash recovery and handoff. A torn final WAL line (a crash
+/// mid-append, never acknowledged — possibly cut inside a multi-byte
+/// character) is dropped and counted; any other undecodable line, or a
+/// seq gap inside the file, is an error.
+fn read_parts(dir: &Path) -> Result<(Option<SnapshotFile>, Vec<WalRecord>), String> {
+    let snap_path = dir.join(SNAPSHOT_FILE);
+    let snapshot = if snap_path.exists() {
+        let text = fs::read_to_string(&snap_path)
+            .map_err(|e| format!("read {}: {e}", snap_path.display()))?;
+        Some(serde_json::from_str(&text).map_err(|e| format!("snapshot: {}", e.0))?)
+    } else {
+        None
     };
-    for rec in tail {
-        replayer.apply(rec)?;
+    let wal_path = dir.join(WAL_FILE);
+    let mut records: Vec<WalRecord> = Vec::new();
+    if wal_path.exists() {
+        let bytes = fs::read(&wal_path).map_err(|e| format!("read {}: {e}", wal_path.display()))?;
+        let lines: Vec<&[u8]> = bytes
+            .strip_suffix(b"\n")
+            .unwrap_or(&bytes)
+            .split(|&b| b == b'\n')
+            .collect();
+        for (i, line) in lines.iter().enumerate() {
+            let parsed = match std::str::from_utf8(line) {
+                Ok(text) if text.trim().is_empty() => continue,
+                Ok(text) => serde_json::from_str::<WalRecord>(text).map_err(|e| e.0),
+                Err(e) => Err(e.to_string()),
+            };
+            let rec = match parsed {
+                Ok(rec) => rec,
+                Err(_) if i + 1 == lines.len() => {
+                    panda_obs::counter_add("persist.wal.torn_tail", 1);
+                    break;
+                }
+                Err(e) => return Err(format!("WAL line {}: {e}", i + 1)),
+            };
+            // In-file contiguity: even records the snapshot already
+            // covers must be gap-free, or the log is corrupt.
+            if let Some(prev) = records.last() {
+                if rec.seq != prev.seq + 1 {
+                    return Err(format!("WAL gap: record {} follows {}", rec.seq, prev.seq));
+                }
+            }
+            records.push(rec);
+        }
     }
-    if replayer.session.is_none() {
-        return Err("handoff carries no snapshot and no create record".into());
-    }
-    Ok(replayer)
+    Ok((snapshot, records))
 }
 
-/// A recovered session plus its re-attached persistence handle.
-pub struct Recovered {
-    /// The rebuilt session, digest-verified.
-    pub session: PandaSession,
-    /// Persistence handle, positioned to append after the last replayed
-    /// record.
-    pub persist: SessionPersist,
-}
-
-/// The on-disk store: owns the state directory and builds per-session
-/// persistence handles.
+/// The on-disk store: owns the state directory and gives op logs their
+/// WALs.
 #[derive(Debug, Clone)]
 pub struct SessionStore {
     sessions_dir: PathBuf,
@@ -347,395 +632,81 @@ impl SessionStore {
         let _ = fs::remove_dir_all(self.session_dir(id));
     }
 
-    /// Start persisting a freshly created session: opens a fresh WAL and
-    /// logs the create record (fsynced before this returns). Also yields
-    /// the appended create record so a primary can ship it to followers.
+    /// Start logging a freshly created session to a fresh WAL: the
+    /// create record is fsynced before this returns, and returned too so
+    /// a primary can ship it to followers.
     pub fn create(
         &self,
         id: u64,
         request: &CreateSessionRequest,
         session: &PandaSession,
-    ) -> Result<(SessionPersist, Appended), String> {
-        let dir = self.session_dir(id);
-        fs::create_dir_all(&dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
-        let wal_path = dir.join(WAL_FILE);
-        let wal = OpenOptions::new()
-            .create(true)
-            .write(true)
-            .truncate(true)
-            .open(&wal_path)
-            .map_err(|e| format!("open {}: {e}", wal_path.display()))?;
-        let mut persist = SessionPersist {
-            dir,
-            wal,
-            seq: 0,
-            ops_since_snapshot: 0,
-            snapshot_every: self.snapshot_every,
-            request: request.clone(),
-            specs: HashMap::new(),
-            broken: false,
-        };
-        let appended = persist.append(
+    ) -> Result<(OpLog, Appended), String> {
+        let mut log = OpLog::new(request.clone());
+        self.attach_wal(id, &mut log, true, 0)?;
+        let appended = log.append(
             WalOp::Create {
                 request: request.clone(),
                 config_digest: config_digest(request),
             },
             session,
         )?;
-        Ok((persist, appended))
+        Ok((log, appended))
     }
 
-    /// Install a handed-off session under a fresh directory: an empty
-    /// WAL positioned at `last_seq` plus an immediate snapshot, so the
+    /// Give a handed-off session's log a fresh WAL under this store,
+    /// positioned at the log's seq, and snapshot it at once, so the
     /// moved state is durable before the handoff is acknowledged.
-    pub fn adopt(
-        &self,
-        id: u64,
-        request: &CreateSessionRequest,
-        session: &PandaSession,
-        specs: HashMap<String, String>,
-        last_seq: u64,
-    ) -> Result<SessionPersist, String> {
-        let dir = self.session_dir(id);
-        fs::create_dir_all(&dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
-        let wal_path = dir.join(WAL_FILE);
-        let wal = OpenOptions::new()
-            .create(true)
-            .write(true)
-            .truncate(true)
-            .open(&wal_path)
-            .map_err(|e| format!("open {}: {e}", wal_path.display()))?;
-        let mut persist = SessionPersist {
-            dir,
-            wal,
-            seq: last_seq,
-            ops_since_snapshot: 0,
-            snapshot_every: self.snapshot_every,
-            request: request.clone(),
-            specs,
-            broken: false,
-        };
-        persist.write_snapshot(session)?;
-        Ok(persist)
+    pub fn adopt(&self, id: u64, log: &mut OpLog, session: &PandaSession) -> Result<(), String> {
+        self.attach_wal(id, log, true, 0)?;
+        log.write_snapshot(session)
     }
 
     /// Rebuild a session from disk: snapshot (verified) + WAL replay
-    /// (digest-verified per record). Errors quarantine the session —
+    /// (digest-verified per record), with the WAL reopened to append
+    /// after the last replayed record. Errors quarantine the session —
     /// its directory is left untouched for inspection.
-    pub fn recover(&self, id: u64) -> Result<Recovered, String> {
+    pub fn recover(&self, id: u64) -> Result<(PandaSession, OpLog), String> {
         let _span = panda_obs::span("persist.session.recover");
+        let (snapshot, tail) = read_parts(&self.session_dir(id))?;
+        let (rebuilt, replayed) = replay_parts(snapshot, &tail)?;
+        let (session, mut log) =
+            rebuilt.ok_or("no snapshot and no create record — nothing to recover")?;
+        self.attach_wal(id, &mut log, false, replayed)?;
+        Ok((session, log))
+    }
+
+    /// Open session `id`'s WAL for appending (emptied first when
+    /// `fresh`) and hand it to `log`.
+    fn attach_wal(
+        &self,
+        id: u64,
+        log: &mut OpLog,
+        fresh: bool,
+        ops_since_snapshot: u64,
+    ) -> Result<(), String> {
         let dir = self.session_dir(id);
-        let snap_path = dir.join(SNAPSHOT_FILE);
-        let wal_path = dir.join(WAL_FILE);
-
-        let mut replayer = if snap_path.exists() {
-            let text = fs::read_to_string(&snap_path)
-                .map_err(|e| format!("read {}: {e}", snap_path.display()))?;
-            let snap: SnapshotFile =
-                serde_json::from_str(&text).map_err(|e| format!("snapshot: {}", e.0))?;
-            Replayer::from_snapshot(snap)?
-        } else {
-            Replayer::new()
-        };
-
-        let mut replayed = 0u64;
-        if wal_path.exists() {
-            let text = fs::read_to_string(&wal_path)
-                .map_err(|e| format!("read {}: {e}", wal_path.display()))?;
-            let lines: Vec<&str> = text.lines().collect();
-            let mut prev_seq: Option<u64> = None;
-            for (i, line) in lines.iter().enumerate() {
-                if line.trim().is_empty() {
-                    continue;
-                }
-                let rec: WalRecord = match serde_json::from_str(line) {
-                    Ok(rec) => rec,
-                    Err(e) => {
-                        if i + 1 == lines.len() {
-                            // Torn tail from a crash mid-append: the op
-                            // was never acknowledged, dropping it is the
-                            // correct recovery.
-                            panda_obs::counter_add("persist.wal.torn_tail", 1);
-                            break;
-                        }
-                        return Err(format!("WAL line {}: {}", i + 1, e.0));
-                    }
-                };
-                // In-file contiguity: even records the snapshot already
-                // covers must be gap-free, or the log is corrupt.
-                if let Some(p) = prev_seq {
-                    if rec.seq != p + 1 {
-                        return Err(format!("WAL gap: record {} follows {p}", rec.seq));
-                    }
-                }
-                prev_seq = Some(rec.seq);
-                if replayer.apply(&rec)? {
-                    replayed += 1;
-                }
-            }
-        }
-
-        let Replayer {
-            session,
-            request,
-            specs,
-            last_seq,
-        } = replayer;
-        let session = session.ok_or("no snapshot and no create record — nothing to recover")?;
-        let request = request.expect("request travels with session");
-        let wal = OpenOptions::new()
+        fs::create_dir_all(&dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
+        let path = dir.join(WAL_FILE);
+        let file = OpenOptions::new()
             .create(true)
             .append(true)
-            .open(&wal_path)
-            .map_err(|e| format!("reopen {}: {e}", wal_path.display()))?;
-        Ok(Recovered {
-            session,
-            persist: SessionPersist {
-                dir,
-                wal,
-                seq: last_seq,
-                ops_since_snapshot: replayed,
-                snapshot_every: self.snapshot_every,
-                request,
-                specs,
-                broken: false,
-            },
-        })
-    }
-}
-
-/// Replay one non-create op through the same session methods the live
-/// router uses, keeping the spec map in sync exactly as `append` does.
-fn apply_wal_op(
-    session: &mut PandaSession,
-    op: &WalOp,
-    specs: &mut HashMap<String, String>,
-) -> Result<(), String> {
-    match op {
-        WalOp::UpsertLf { spec } => {
-            let lf = spec.build()?;
-            session.upsert_lf_incremental(lf)?;
-            specs.insert(
-                spec.name.clone(),
-                serde_json::to_string(spec).map_err(|e| e.0)?,
-            );
-        }
-        WalOp::RemoveLf { name } => {
-            session.remove_lf_incremental(name);
-            specs.remove(name);
-        }
-        WalOp::Fit => session.fit(),
-        WalOp::Label {
-            candidate,
-            is_match,
-        } => {
-            let i = *candidate as usize;
-            if i >= session.candidates().len() {
-                return Err(format!("label index {i} out of range"));
-            }
-            session.label_pair(i, *is_match);
-        }
-        WalOp::Create { .. } => return Err("unexpected nested create".into()),
-    }
-    Ok(())
-}
-
-/// Metadata of one durably appended WAL record, for replication: the
-/// primary ships `line` verbatim so followers replay byte-identical
-/// records.
-#[derive(Debug, Clone)]
-pub struct Appended {
-    /// The record's sequence number.
-    pub seq: u64,
-    /// Post-op matrix digest logged with the record.
-    pub digest: u64,
-    /// The serialized JSONL line (no trailing newline).
-    pub line: String,
-}
-
-/// Per-session persistence handle: the open WAL plus the bookkeeping to
-/// compact it. All calls happen under the session's mutex, so WAL writes
-/// and the snapshot-then-truncate sequence are never concurrent.
-pub struct SessionPersist {
-    dir: PathBuf,
-    wal: File,
-    seq: u64,
-    ops_since_snapshot: u64,
-    snapshot_every: u64,
-    request: CreateSessionRequest,
-    /// LF name → wire-spec JSON for every spec-backed LF currently
-    /// registered — the dehydration recipe map.
-    specs: HashMap<String, String>,
-    broken: bool,
-}
-
-impl SessionPersist {
-    /// Durably log one applied op: serialize, append, fsync — then
-    /// compact when the snapshot cadence is due. Must be called *after*
-    /// the op was applied to `session` (the record carries the resulting
-    /// matrix digest) and *before* the response is acknowledged. Returns
-    /// the appended record so the caller can ship it to followers.
-    pub fn append(&mut self, op: WalOp, session: &PandaSession) -> Result<Appended, String> {
-        if self.broken {
-            return Err(BROKEN_MSG.into());
-        }
-        let spec_entry = match &op {
-            WalOp::UpsertLf { spec } => Some((
-                spec.name.clone(),
-                serde_json::to_string(spec).map_err(|e| e.0)?,
-            )),
-            _ => None,
-        };
-        let rec = WalRecord {
-            seq: self.seq + 1,
-            digest: session.matrix().digest(),
-            op,
-        };
-        let line = serde_json::to_string(&rec).map_err(|e| e.0)?;
-        let written = (|| -> std::io::Result<()> {
-            self.wal.write_all(line.as_bytes())?;
-            self.wal.write_all(b"\n")?;
-            let _fsync = panda_obs::span("persist.wal.fsync");
-            self.wal.sync_data()
-        })();
-        if let Err(e) = written {
-            self.broken = true;
-            panda_obs::counter_add("persist.wal.append_failed", 1);
-            return Err(format!("WAL append failed: {e}"));
-        }
-        self.seq += 1;
-        self.ops_since_snapshot += 1;
-        panda_obs::counter_add("persist.wal.appends", 1);
-        match (&rec.op, spec_entry) {
-            (WalOp::UpsertLf { .. }, Some((name, json))) => {
-                self.specs.insert(name, json);
-            }
-            (WalOp::RemoveLf { name }, _) => {
-                self.specs.remove(name);
-            }
-            _ => {}
-        }
-        if self.snapshot_every > 0 && self.ops_since_snapshot >= self.snapshot_every {
-            if let Err(msg) = self.write_snapshot(session) {
-                // The record itself is already durable; a failed
-                // compaction only costs replay time now and blocks
-                // *future* appends fast via `broken`.
-                eprintln!("panda-serve: snapshot compaction failed: {msg}");
-            }
-        }
-        Ok(Appended {
-            seq: self.seq,
-            digest: rec.digest,
-            line,
-        })
-    }
-
-    /// Dehydrate the session into `snapshot.json` (tmp + fsync + rename,
-    /// then dir fsync) and reset the WAL. Used by the compaction cadence,
-    /// LRU eviction, and graceful shutdown.
-    pub fn write_snapshot(&mut self, session: &PandaSession) -> Result<(), String> {
-        if self.broken {
-            return Err(BROKEN_MSG.into());
-        }
-        let _span = panda_obs::span("persist.snapshot.write");
-        let snap = self.snapshot_file(session)?;
-        let json = serde_json::to_string(&snap).map_err(|e| e.0)?;
-        let tmp = self.dir.join(SNAPSHOT_TMP);
-        let result = (|| -> std::io::Result<()> {
-            let mut f = File::create(&tmp)?;
-            f.write_all(json.as_bytes())?;
-            f.sync_data()?;
-            fs::rename(&tmp, self.dir.join(SNAPSHOT_FILE))?;
-            // Make the rename itself durable, then reset the WAL (safe
-            // under the session lock — no append can interleave). A
-            // crash between rename and reset leaves stale WAL records
-            // with seq <= last_seq, which replay skips.
-            File::open(&self.dir).and_then(|d| d.sync_all())?;
-            self.wal.set_len(0)?;
-            self.wal.seek(SeekFrom::Start(0))?;
-            self.wal.sync_data()
-        })();
-        match result {
-            Ok(()) => {
-                self.ops_since_snapshot = 0;
-                panda_obs::counter_add("persist.snapshots.written", 1);
-                Ok(())
-            }
-            Err(e) => {
-                self.broken = true;
-                Err(format!("snapshot write failed: {e}"))
-            }
-        }
-    }
-
-    /// Records appended since the last snapshot (replay cost on crash).
-    pub fn wal_depth(&self) -> u64 {
-        self.ops_since_snapshot
-    }
-
-    /// Sequence number of the last durably appended record.
-    pub fn seq(&self) -> u64 {
-        self.seq
-    }
-
-    /// The original create request this handle persists for.
-    pub fn request(&self) -> &CreateSessionRequest {
-        &self.request
-    }
-
-    /// Build (without writing) the snapshot `write_snapshot` would
-    /// persist right now — the full-sync payload replication ships to a
-    /// freshly subscribed follower.
-    pub fn snapshot_file(&self, session: &PandaSession) -> Result<SnapshotFile, String> {
-        let specs = &self.specs;
-        let state = session.dehydrate(&|name| specs.get(name).cloned())?;
-        Ok(SnapshotFile {
-            format: SNAPSHOT_FORMAT,
-            last_seq: self.seq,
-            config_digest: config_digest(&self.request),
-            request: self.request.clone(),
-            state,
-        })
-    }
-
-    /// Read the on-disk snapshot + WAL tail for a cross-shard handoff.
-    /// Runs under the session lock, so the files are quiescent. A torn
-    /// final WAL line is dropped (its op was never acknowledged); any
-    /// other parse failure is an error.
-    pub fn disk_parts(&self) -> Result<(Option<SnapshotFile>, Vec<WalRecord>), String> {
-        let snap_path = self.dir.join(SNAPSHOT_FILE);
-        let snapshot = if snap_path.exists() {
-            let text = fs::read_to_string(&snap_path)
-                .map_err(|e| format!("read {}: {e}", snap_path.display()))?;
-            Some(
-                serde_json::from_str::<SnapshotFile>(&text)
-                    .map_err(|e| format!("snapshot: {}", e.0))?,
-            )
-        } else {
-            None
-        };
-        let wal_path = self.dir.join(WAL_FILE);
-        let mut tail = Vec::new();
-        if wal_path.exists() {
-            let text = fs::read_to_string(&wal_path)
-                .map_err(|e| format!("read {}: {e}", wal_path.display()))?;
-            let lines: Vec<&str> = text.lines().collect();
-            for (i, line) in lines.iter().enumerate() {
-                if line.trim().is_empty() {
-                    continue;
+            .open(&path)
+            .and_then(|f| {
+                if fresh {
+                    f.set_len(0).map(|()| f)
+                } else {
+                    Ok(f)
                 }
-                match serde_json::from_str::<WalRecord>(line) {
-                    Ok(rec) => tail.push(rec),
-                    Err(e) => {
-                        if i + 1 == lines.len() {
-                            break;
-                        }
-                        return Err(format!("WAL line {}: {}", i + 1, e.0));
-                    }
-                }
-            }
-        }
-        Ok((snapshot, tail))
+            })
+            .map_err(|e| format!("open {}: {e}", path.display()))?;
+        log.wal = Some(Wal {
+            dir,
+            file,
+            ops_since_snapshot,
+            snapshot_every: self.snapshot_every,
+            broken: false,
+        });
+        Ok(())
     }
 }
 

@@ -7,10 +7,10 @@
 //! per-session cursors, and receives a length-prefixed frame stream:
 //! full-state [`ReplMsg::Sync`] snapshots for sessions it is behind on,
 //! then every acknowledged WAL record ([`ReplMsg::Record`]) verbatim —
-//! the same JSONL line `SessionPersist::append` fsynced, carrying seq +
-//! post-op matrix digest. Followers apply records through the identical
-//! digest-verified replay path crash recovery uses
-//! ([`crate::persist::Replayer`] rules), so follower state is
+//! the same JSONL line the session's [`crate::persist::OpLog`] fsynced,
+//! carrying seq + post-op matrix digest. A follower's sessions keep op
+//! logs without a WAL and apply records through the same digest-verified
+//! replay crash recovery uses, so follower state is
 //! bit-identical to the primary's — `/match` and debug-query responses
 //! compare byte-for-byte. A record that fails the gap or digest check
 //! quarantines the session (reads answer 409) instead of serving wrong

@@ -488,7 +488,7 @@ fn adopt_handoff(state: &AppState, req: &Request) -> Response {
         }
     }
     match crate::persist::rebuild(body.snapshot, &body.tail) {
-        Ok(replayer) => match state.adopt_handoff(body.session, replayer) {
+        Ok((session, log)) => match state.adopt_handoff(body.session, session, log) {
             Ok(()) => Response::json(200, r#"{"status":"adopted"}"#),
             Err(msg) => error(409, "adopt_failed", msg),
         },

@@ -10,17 +10,15 @@
 //! worker held it) is recovered — the session rolls back failed edits
 //! itself, so its state stays coherent.
 //!
-//! With a [`SessionStore`] attached, every entry pairs its session with a
-//! [`SessionPersist`] WAL handle, startup replays the state directory,
-//! LRU entries beyond `max_sessions` are **evicted to snapshot** (the
-//! entry stays in the map with `slot: None` and transparently rehydrates
-//! on the next touch), and a TTL sweep evicts idle sessions.
+//! Every session built from a create request carries an [`OpLog`]. With
+//! a [`SessionStore`] attached the log owns the session's WAL, startup
+//! replays the state directory, LRU entries beyond `max_sessions` are
+//! **evicted to snapshot** (the entry stays in the map with `slot: None`
+//! and transparently rehydrates on the next touch), and a TTL sweep
+//! evicts idle sessions.
 
 use crate::api::CreateSessionRequest;
-use crate::persist::{
-    self, config_digest, SessionPersist, SessionStore, SnapshotFile, WalOp, WalRecord,
-    SNAPSHOT_FORMAT,
-};
+use crate::persist::{self, OpLog, SessionStore, SnapshotFile, WalOp, WalRecord};
 use crate::repl::{ReplHub, ReplMsg, SessionCursor, ShardRing};
 use panda_session::PandaSession;
 use std::collections::HashMap;
@@ -52,72 +50,40 @@ impl SlotMeta {
     }
 }
 
-/// The replay recipe a session carries when it has no on-disk persist
-/// handle: follower replicas and sessions adopted on a store-less shard.
-/// Holds exactly what `SessionPersist` would — the create request, the
-/// LF spec map, and the applied seq — so the session can still be
-/// dehydrated for sync frames and onward rebalances.
-pub(crate) struct ReplayRecipe {
-    pub(crate) last_seq: u64,
-    pub(crate) specs: HashMap<String, String>,
-    pub(crate) request: CreateSessionRequest,
-}
-
 /// The hub handle shared by every slot: set once by `Server::start`
 /// when `--repl-addr` is configured, read on every logged op.
 type HubCell = Arc<OnceLock<Arc<ReplHub>>>;
 
-/// A live session plus its persistence handle (absent when the server
-/// runs without `--state-dir`).
+/// A live session plus its op log (absent only for request-less library
+/// inserts, which are never persisted or replicated).
 pub struct SessionSlot {
     /// The session itself.
     pub session: PandaSession,
-    persist: Option<SessionPersist>,
-    recipe: Option<ReplayRecipe>,
+    log: Option<OpLog>,
     meta: Arc<SlotMeta>,
     id: u64,
     hub: HubCell,
 }
 
 impl SessionSlot {
-    /// Durably log an already-applied op (no-op without a store), update
-    /// the listing metadata, and ship the record to followers. Called
-    /// before the response is acknowledged; an error must surface as a
-    /// 500 so the client knows the edit is not durable.
+    /// Log an already-applied op (durably, when the log has a WAL),
+    /// update the listing metadata, and ship the fsynced record to
+    /// followers. Called before the response is acknowledged; an error
+    /// must surface as a 500 so the client knows the edit is not durable.
     pub fn log_op(&mut self, op: WalOp) -> Result<(), String> {
-        match &mut self.persist {
-            Some(p) => {
-                let appended = p.append(op, &self.session)?;
-                self.meta.set(appended.seq, appended.digest);
-                if let Some(hub) = self.hub.get() {
-                    hub.ship_record(self.id, &appended.line);
-                }
-                Ok(())
-            }
-            None => {
-                // No WAL: keep the recipe and listing metadata coherent
-                // so a promoted ex-follower can still be listed, synced,
-                // and rebalanced accurately.
-                let seq = self.meta.wal_seq.load(Ordering::SeqCst) + 1;
-                if let Some(recipe) = &mut self.recipe {
-                    recipe.last_seq = seq;
-                    match &op {
-                        WalOp::UpsertLf { spec } => {
-                            recipe.specs.insert(
-                                spec.name.clone(),
-                                serde_json::to_string(spec).map_err(|e| e.0)?,
-                            );
-                        }
-                        WalOp::RemoveLf { name } => {
-                            recipe.specs.remove(name);
-                        }
-                        _ => {}
-                    }
-                }
-                self.meta.set(seq, self.session.matrix().digest());
-                Ok(())
-            }
+        let Some(log) = &mut self.log else {
+            // A request-less insert logs nothing, but its listing still
+            // counts its ops.
+            self.meta
+                .set(self.wal_seq() + 1, self.session.matrix().digest());
+            return Ok(());
+        };
+        let appended = log.append(op, &self.session)?;
+        self.meta.set(appended.seq, appended.digest);
+        if let (Some(line), Some(hub)) = (&appended.line, self.hub.get()) {
+            hub.ship_record(self.id, line);
         }
+        Ok(())
     }
 
     /// The highest acknowledged sequence number for this session.
@@ -126,67 +92,51 @@ impl SessionSlot {
     }
 
     /// Build the full-state snapshot replication ships to a follower.
-    /// `Ok(None)` for sessions with no replay recipe (library/test
-    /// inserts) — they cannot be replicated.
+    /// `Ok(None)` for request-less library inserts — they cannot be
+    /// replicated.
     pub(crate) fn sync_snapshot(&self) -> Result<Option<SnapshotFile>, String> {
-        if let Some(p) = &self.persist {
-            return Ok(Some(p.snapshot_file(&self.session)?));
-        }
-        if let Some(recipe) = &self.recipe {
-            let specs = &recipe.specs;
-            let state = self.session.dehydrate(&|name| specs.get(name).cloned())?;
-            return Ok(Some(SnapshotFile {
-                format: SNAPSHOT_FORMAT,
-                last_seq: recipe.last_seq,
-                config_digest: config_digest(&recipe.request),
-                request: recipe.request.clone(),
-                state,
-            }));
-        }
-        Ok(None)
+        self.log
+            .as_ref()
+            .map(|log| log.snapshot_file(&self.session))
+            .transpose()
     }
 
     /// The snapshot + WAL-tail parts `/rebalance` ships to the target
-    /// shard: the on-disk pair when persisted, a fresh dehydration when
-    /// only a recipe exists.
+    /// shard.
     pub(crate) fn handoff_parts(&self) -> Result<(Option<SnapshotFile>, Vec<WalRecord>), String> {
-        if let Some(p) = &self.persist {
-            return p.disk_parts();
-        }
-        match self.sync_snapshot()? {
-            Some(snap) => Ok((Some(snap), Vec::new())),
-            None => Err(
+        self.log
+            .as_ref()
+            .ok_or(
                 "session has no replay recipe (library insert without a create request); \
-                 it cannot be rebalanced"
-                    .into(),
-            ),
-        }
+                 it cannot be rebalanced",
+            )?
+            .handoff_parts(&self.session)
     }
 
     /// Apply one shipped WAL record through the same digest-verified
     /// rules crash recovery uses. `Ok(false)` = duplicate skipped.
     fn apply_replica_record(&mut self, rec: &WalRecord) -> Result<bool, String> {
-        let recipe = self
-            .recipe
+        let log = self
+            .log
             .as_mut()
             .ok_or("session is not a replica (no replay recipe)")?;
-        if rec.seq <= recipe.last_seq {
-            return Ok(false);
-        }
-        if let WalOp::Create { .. } = &rec.op {
-            return Err(format!("duplicate create record at seq {}", rec.seq));
-        }
-        let applied = persist::apply_record(
-            &mut self.session,
-            &mut recipe.specs,
-            &mut recipe.last_seq,
-            rec,
-        )?;
+        let applied = log.replay(&mut self.session, rec)?;
         if applied {
-            self.meta.set(recipe.last_seq, rec.digest);
+            self.meta.set(rec.seq, rec.digest);
         }
         Ok(applied)
     }
+}
+
+/// How [`AppState::install`] treats the table entry it fills.
+enum Install {
+    /// A new entry, replacing any earlier one under the id.
+    New,
+    /// A new entry for a session rebuilt from disk at server startup.
+    Recovered,
+    /// Refill an evicted entry, keeping its flags; install nothing if the
+    /// entry was deleted meanwhile.
+    Rehydrated,
 }
 
 /// One session-table entry. `slot: None` means evicted-to-snapshot (or
@@ -284,35 +234,30 @@ impl AppState {
             Some(dir) => Some(SessionStore::open(dir, options.snapshot_every)?),
             None => None,
         };
-        let hub: HubCell = Arc::new(OnceLock::new());
-        let mut entries = HashMap::new();
-        let mut next_id = 1u64;
-        if let Some(store) = &store {
+        let state = AppState {
+            entries: Mutex::new(HashMap::new()),
+            store,
+            max_live: options.max_sessions,
+            ttl: options.session_ttl,
+            rehydrate_lock: Mutex::new(()),
+            next_id: AtomicU64::new(1),
+            shutdown: AtomicBool::new(false),
+            follower: AtomicBool::new(options.follower),
+            primary_http: Mutex::new(None),
+            ring: options.ring,
+            hub: Arc::new(OnceLock::new()),
+        };
+        if let Some(store) = &state.store {
             let _span = panda_obs::span("serve.recover");
             let mut ids = store.scan();
             ids.sort_unstable();
             for id in ids {
-                next_id = next_id.max(id + 1);
+                // Ids of sessions that fail to recover stay taken: their
+                // directories are kept for inspection.
+                state.next_id.fetch_max(id + 1, Ordering::Relaxed);
                 match store.recover(id) {
-                    Ok(rec) => {
-                        let meta = SlotMeta::new(rec.persist.seq(), rec.session.matrix().digest());
-                        entries.insert(
-                            id,
-                            Entry {
-                                slot: Some(Arc::new(Mutex::new(SessionSlot {
-                                    session: rec.session,
-                                    persist: Some(rec.persist),
-                                    recipe: None,
-                                    meta: Arc::clone(&meta),
-                                    id,
-                                    hub: Arc::clone(&hub),
-                                }))),
-                                last_touch: Instant::now(),
-                                recovered: true,
-                                quarantined: false,
-                                meta,
-                            },
-                        );
+                    Ok((session, log)) => {
+                        state.install(id, session, Some(log), Install::Recovered);
                         panda_obs::counter_add("serve.sessions.recovered", 1);
                     }
                     Err(msg) => {
@@ -321,21 +266,10 @@ impl AppState {
                     }
                 }
             }
-            panda_obs::gauge_set("serve.sessions.live", entries.len() as f64);
+            // Published even when nothing was recovered, so a durable
+            // server's `/metrics` carries the gauge from the start.
+            publish_live_gauge(&lock_map(&state));
         }
-        let state = AppState {
-            entries: Mutex::new(entries),
-            store,
-            max_live: options.max_sessions,
-            ttl: options.session_ttl,
-            rehydrate_lock: Mutex::new(()),
-            next_id: AtomicU64::new(next_id),
-            shutdown: AtomicBool::new(false),
-            follower: AtomicBool::new(options.follower),
-            primary_http: Mutex::new(None),
-            ring: options.ring,
-            hub,
-        };
         state.enforce_capacity(None);
         Ok(state)
     }
@@ -359,51 +293,17 @@ impl AppState {
                 _ => break id,
             }
         };
-        let mut shipped_create: Option<String> = None;
-        let persist = match (&self.store, request) {
-            (Some(store), Some(req)) => {
-                let (persist, appended) = store.create(id, req, &session)?;
-                shipped_create = Some(appended.line);
-                Some(persist)
+        // Durable sessions log their create as seq 1; store-less ones
+        // start at seq 0.
+        let (log, shipped_create) = match (request, &self.store) {
+            (Some(req), Some(store)) => {
+                let (log, appended) = store.create(id, req, &session)?;
+                (Some(log), appended.line)
             }
-            _ => None,
+            (Some(req), None) => (Some(OpLog::new(req.clone())), None),
+            (None, _) => (None, None),
         };
-        let meta = match &persist {
-            Some(p) => SlotMeta::new(p.seq(), session.matrix().digest()),
-            None => SlotMeta::new(0, session.matrix().digest()),
-        };
-        let recipe = match (&persist, request) {
-            (None, Some(req)) => Some(ReplayRecipe {
-                last_seq: 0,
-                specs: HashMap::new(),
-                request: req.clone(),
-            }),
-            _ => None,
-        };
-        let slot = Arc::new(Mutex::new(SessionSlot {
-            session,
-            persist,
-            recipe,
-            meta: Arc::clone(&meta),
-            id,
-            hub: Arc::clone(&self.hub),
-        }));
-        {
-            let mut map = lock_map(self);
-            map.insert(
-                id,
-                Entry {
-                    slot: Some(slot),
-                    last_touch: Instant::now(),
-                    recovered: false,
-                    quarantined: false,
-                    meta,
-                },
-            );
-            // Gauge published under the map lock: a concurrent insert
-            // cannot interleave between the mutation and the publish.
-            publish_live_gauge(&map);
-        }
+        self.install(id, session, log, Install::New);
         if let (Some(line), Some(hub)) = (shipped_create, self.hub.get()) {
             hub.ship_record(id, &line);
         }
@@ -439,29 +339,8 @@ impl AppState {
         let store = self.store.as_ref()?;
         let _span = panda_obs::span("serve.session.rehydrate");
         match store.recover(id) {
-            Ok(rec) => {
-                let wal_seq = rec.persist.seq();
-                let digest = rec.session.matrix().digest();
-                let slot_inner = SessionSlot {
-                    session: rec.session,
-                    persist: Some(rec.persist),
-                    recipe: None,
-                    meta: SlotMeta::new(wal_seq, digest), // replaced below
-                    id,
-                    hub: Arc::clone(&self.hub),
-                };
-                let slot = Arc::new(Mutex::new(slot_inner));
-                {
-                    let mut map = lock_map(self);
-                    let entry = map.get_mut(&id)?; // deleted meanwhile
-                    entry.meta.set(wal_seq, digest);
-                    // Share the entry's meta so listings keep tracking
-                    // this slot's ops.
-                    slot.lock().unwrap_or_else(|e| e.into_inner()).meta = Arc::clone(&entry.meta);
-                    entry.slot = Some(Arc::clone(&slot));
-                    entry.last_touch = Instant::now();
-                    publish_live_gauge(&map);
-                }
+            Ok((session, log)) => {
+                let slot = self.install(id, session, Some(log), Install::Rehydrated)?;
                 panda_obs::counter_add("serve.sessions.rehydrated", 1);
                 drop(guard);
                 self.enforce_capacity(Some(id));
@@ -473,6 +352,50 @@ impl AppState {
                 None
             }
         }
+    }
+
+    /// Put a live session into the table under `id`: the one place a
+    /// slot and its table entry are built. `None` only when a
+    /// [`Install::Rehydrated`] finds its entry deleted.
+    fn install(
+        &self,
+        id: u64,
+        session: PandaSession,
+        log: Option<OpLog>,
+        how: Install,
+    ) -> Option<Arc<Mutex<SessionSlot>>> {
+        let meta = SlotMeta::new(
+            log.as_ref().map_or(0, OpLog::seq),
+            session.matrix().digest(),
+        );
+        let slot = Arc::new(Mutex::new(SessionSlot {
+            session,
+            log,
+            meta: Arc::clone(&meta),
+            id,
+            hub: Arc::clone(&self.hub),
+        }));
+        self.next_id.fetch_max(id + 1, Ordering::Relaxed);
+        let mut map = lock_map(self);
+        let recovered = match how {
+            Install::New => false,
+            Install::Recovered => true,
+            Install::Rehydrated => map.get(&id)?.recovered,
+        };
+        map.insert(
+            id,
+            Entry {
+                slot: Some(Arc::clone(&slot)),
+                last_touch: Instant::now(),
+                recovered,
+                quarantined: false,
+                meta,
+            },
+        );
+        // Gauge published under the map lock: a concurrent insert
+        // cannot interleave between the mutation and the publish.
+        publish_live_gauge(&map);
+        Some(slot)
     }
 
     fn probe(&self, id: u64) -> Probe {
@@ -618,13 +541,11 @@ impl AppState {
             Err(TryLockError::WouldBlock) => return false, // a worker is in it
         };
         if self.store.is_some() {
-            let SessionSlot {
-                session, persist, ..
-            } = &mut *locked;
-            let Some(p) = persist.as_mut() else {
+            let SessionSlot { session, log, .. } = &mut *locked;
+            let Some(log) = log.as_mut() else {
                 return false; // request-less session: nothing to rehydrate from
             };
-            if let Err(msg) = p.write_snapshot(session) {
+            if let Err(msg) = log.write_snapshot(session) {
                 panda_obs::counter_add("serve.sessions.evict_failed", 1);
                 eprintln!("panda-serve: session {id} not evicted: {msg}");
                 return false;
@@ -661,14 +582,12 @@ impl AppState {
         };
         for (id, slot) in slots {
             let mut locked = slot.lock().unwrap_or_else(|e| e.into_inner());
-            let SessionSlot {
-                session, persist, ..
-            } = &mut *locked;
-            if let Some(p) = persist.as_mut() {
-                if p.wal_depth() == 0 {
+            let SessionSlot { session, log, .. } = &mut *locked;
+            if let Some(log) = log.as_mut() {
+                if log.wal_depth() == 0 {
                     continue; // already compact
                 }
-                if let Err(msg) = p.write_snapshot(session) {
+                if let Err(msg) = log.write_snapshot(session) {
                     eprintln!("panda-serve: final snapshot of session {id} failed: {msg}");
                 }
             }
@@ -782,14 +701,11 @@ impl AppState {
     pub fn apply_repl_frame(&self, msg: ReplMsg) {
         match msg {
             ReplMsg::Hello { http_addr } => self.set_primary_http(http_addr),
-            ReplMsg::Sync { session, snapshot } => match persist::Replayer::from_snapshot(snapshot)
-            {
-                Ok(replayer) => match self.install_replica(session, replayer) {
-                    Ok(()) => {
-                        panda_obs::counter_add_labeled("repl.applied", &[("kind", "sync")], 1);
-                    }
-                    Err(msg) => self.quarantine(session, &msg),
-                },
+            ReplMsg::Sync { session, snapshot } => match persist::restore(snapshot) {
+                Ok((replica, log)) => {
+                    self.install(session, replica, Some(log), Install::New);
+                    panda_obs::counter_add_labeled("repl.applied", &[("kind", "sync")], 1);
+                }
                 Err(msg) => self.quarantine(session, &msg),
             },
             ReplMsg::Record { session, record } => self.apply_replica_record(session, &record),
@@ -801,46 +717,6 @@ impl AppState {
             // Primary-bound frames; nothing to do on this side.
             ReplMsg::Subscribe { .. } | ReplMsg::Ack { .. } => {}
         }
-    }
-
-    /// Install (or replace) a replicated session. Replacing is how a
-    /// full sync clears a quarantine.
-    fn install_replica(&self, id: u64, replayer: persist::Replayer) -> Result<(), String> {
-        let persist::Replayer {
-            session,
-            request,
-            specs,
-            last_seq,
-        } = replayer;
-        let session = session.ok_or("sync carries no session")?;
-        let request = request.ok_or("sync carries no create request")?;
-        let meta = SlotMeta::new(last_seq, session.matrix().digest());
-        let slot = Arc::new(Mutex::new(SessionSlot {
-            session,
-            persist: None,
-            recipe: Some(ReplayRecipe {
-                last_seq,
-                specs,
-                request,
-            }),
-            meta: Arc::clone(&meta),
-            id,
-            hub: Arc::clone(&self.hub),
-        }));
-        self.next_id.fetch_max(id + 1, Ordering::Relaxed);
-        let mut map = lock_map(self);
-        map.insert(
-            id,
-            Entry {
-                slot: Some(slot),
-                last_touch: Instant::now(),
-                recovered: false,
-                quarantined: false,
-                meta,
-            },
-        );
-        publish_live_gauge(&map);
-        Ok(())
     }
 
     /// Apply one shipped WAL record to the replica it belongs to.
@@ -869,18 +745,11 @@ impl AppState {
                 }
                 // Unknown session: only a create record is
                 // self-contained; anything else is a gap.
-                let mut replayer = persist::Replayer::new();
-                match replayer.apply(rec) {
-                    Ok(_) => match self.install_replica(id, replayer) {
-                        Ok(()) => {
-                            panda_obs::counter_add_labeled(
-                                "repl.applied",
-                                &[("kind", "record")],
-                                1,
-                            );
-                        }
-                        Err(msg) => self.quarantine(id, &msg),
-                    },
+                match persist::replay_create(rec) {
+                    Ok((replica, log)) => {
+                        self.install(id, replica, Some(log), Install::New);
+                        panda_obs::counter_add_labeled("repl.applied", &[("kind", "record")], 1);
+                    }
                     Err(msg) => self.quarantine(id, &msg),
                 }
             }
@@ -930,57 +799,21 @@ impl AppState {
     /// of `/rebalance`). With a store the moved state is snapshotted
     /// durably before this returns, and the session is announced to
     /// this shard's own followers as a full sync.
-    pub fn adopt_handoff(&self, id: u64, replayer: persist::Replayer) -> Result<(), String> {
-        let persist::Replayer {
-            session,
-            request,
-            specs,
-            last_seq,
-        } = replayer;
-        let session = session.ok_or("handoff carries no session")?;
-        let request = request.ok_or("handoff carries no create request")?;
+    pub fn adopt_handoff(
+        &self,
+        id: u64,
+        session: PandaSession,
+        mut log: OpLog,
+    ) -> Result<(), String> {
         if self.contains(id) {
             return Err(format!("session {id} already exists on this shard"));
         }
-        let persist_handle = match &self.store {
-            Some(store) => Some(store.adopt(id, &request, &session, specs.clone(), last_seq)?),
-            None => None,
-        };
-        let recipe = if persist_handle.is_none() {
-            Some(ReplayRecipe {
-                last_seq,
-                specs,
-                request,
-            })
-        } else {
-            None
-        };
-        let meta = SlotMeta::new(last_seq, session.matrix().digest());
-        let slot = Arc::new(Mutex::new(SessionSlot {
-            session,
-            persist: persist_handle,
-            recipe,
-            meta: Arc::clone(&meta),
-            id,
-            hub: Arc::clone(&self.hub),
-        }));
-        self.next_id.fetch_max(id + 1, Ordering::Relaxed);
-        {
-            let mut map = lock_map(self);
-            map.insert(
-                id,
-                Entry {
-                    slot: Some(Arc::clone(&slot)),
-                    last_touch: Instant::now(),
-                    recovered: false,
-                    quarantined: false,
-                    meta,
-                },
-            );
-            publish_live_gauge(&map);
+        if let Some(store) = &self.store {
+            store.adopt(id, &mut log, &session)?;
         }
+        let slot = self.install(id, session, Some(log), Install::New);
         panda_obs::counter_add_labeled("repl.rebalance_moves", &[("direction", "in")], 1);
-        if let Some(hub) = self.hub.get() {
+        if let (Some(hub), Some(slot)) = (self.hub.get(), slot) {
             let locked = slot.lock().unwrap_or_else(|e| e.into_inner());
             if let Ok(Some(snapshot)) = locked.sync_snapshot() {
                 if let Ok(frame) = serde_json::to_string(&ReplMsg::Sync {

@@ -12,6 +12,7 @@ mod common;
 
 use panda_serve::api::{CreateSessionRequest, SessionConfigDto};
 use panda_serve::http::{Request, Response};
+use panda_serve::persist::{self, SessionStore, WalRecord};
 use panda_serve::router::handle;
 use panda_serve::{AppState, StateOptions};
 use panda_session::PandaSession;
@@ -74,6 +75,7 @@ fn session_id(resp: &Response) -> u64 {
 const LF1: &str =
     r#"{"name":"name_overlap","kind":"similarity","attr":"name","upper":0.5,"lower":0.1}"#;
 const LF2: &str = r#"{"name":"price_tol","kind":"numeric_tolerance","attr":"price","match_tol":0.05,"unmatch_tol":0.5}"#;
+const LABEL: &str = r#"{"candidate":0,"is_match":true}"#;
 
 /// Drive the standard edit sequence: create, two LFs, fit, one label.
 /// With `snapshot_every = 3` this leaves *both* a snapshot (covering the
@@ -220,6 +222,67 @@ fn torn_wal_tail_is_dropped_not_fatal() {
     let state = open(&dir, 0, 0);
     assert_eq!(matrix_digest(&state, 1), pre_digest);
     assert_eq!(snapshot_body(&state, 1), pre_snapshot);
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // Now cut a driven WAL at every byte offset. The LF name is not
+    // ASCII, so some cuts land inside a multi-byte character.
+    let dir = state_dir("torn-every-byte");
+    let lf = r#"{"name":"nom_ähnlich","kind":"similarity","attr":"name","upper":0.5,"lower":0.1}"#;
+    {
+        let state = open(&dir, 0, 0);
+        for (method, path, body) in [
+            ("POST", "/sessions", create_body()),
+            ("POST", "/sessions/1/lfs", lf.to_string()),
+            ("POST", "/sessions/1/fit", String::new()),
+            ("POST", "/sessions/1/labels", LABEL.to_string()),
+            ("DELETE", "/sessions/1/lfs/nom_ähnlich", String::new()),
+        ] {
+            let resp = handle(&state, &req(method, path, &body));
+            assert_eq!(resp.status, 200, "{method} {path}: {}", resp.body);
+        }
+    }
+    let wal_path = dir.join("sessions").join("1").join("wal.jsonl");
+    let wal = std::fs::read(&wal_path).unwrap();
+    // Each record with the offset where its JSON text ends.
+    let mut records: Vec<(usize, WalRecord)> = Vec::new();
+    let mut end = 0;
+    for line in wal.split_inclusive(|&b| b == b'\n') {
+        end += line.len();
+        let text = std::str::from_utf8(&line[..line.len() - 1]).unwrap();
+        records.push((
+            end - 1,
+            serde_json::from_str(text).map_err(|e| e.0).unwrap(),
+        ));
+    }
+    assert_eq!(records.len(), 5, "create, LF upsert, fit, label, LF remove");
+    for cut in 0..=wal.len() {
+        std::fs::write(&wal_path, &wal[..cut]).unwrap();
+        let state = open(&dir, 0, 0);
+        let Some((_, last)) = records.iter().rev().find(|(end, _)| *end <= cut) else {
+            assert!(
+                state.is_empty(),
+                "cut {cut}: a torn create recovers nothing"
+            );
+            continue;
+        };
+        let info = state.list()[0];
+        assert_eq!(
+            (info.wal_seq, info.matrix_digest),
+            (last.seq, last.digest),
+            "cut {cut}"
+        );
+        assert_eq!(matrix_digest(&state, 1), last.digest, "cut {cut}");
+        drop(state);
+
+        let (_, log) = SessionStore::open(&dir, 0).unwrap().recover(1).unwrap();
+        let (snapshot, tail) = log.disk_parts().unwrap();
+        let (rebuilt, rebuilt_log) = persist::rebuild(snapshot, &tail).unwrap();
+        assert_eq!(
+            (rebuilt_log.seq(), rebuilt.matrix().digest()),
+            (last.seq, last.digest),
+            "cut {cut}: handoff rebuild"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

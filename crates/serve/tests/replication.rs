@@ -454,6 +454,142 @@ fn rebalance_moves_a_session_with_byte_parity() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+const RETUNED_LF1: &str =
+    r#"{"name":"name_overlap","kind":"similarity","attr":"name","upper":0.6,"lower":0.2}"#;
+const SPOT_LABEL: &str = r#"{"candidate":2,"is_match":false}"#;
+
+/// Edits a session takes after it changed hands: re-tune one LF, drop
+/// the other, one spot label and a refit (WAL seqs 6..=9).
+fn edits(id: u64) -> [(&'static str, String, &'static str); 4] {
+    [
+        ("POST", format!("/sessions/{id}/lfs"), RETUNED_LF1),
+        ("DELETE", format!("/sessions/{id}/lfs/price_tol"), ""),
+        ("POST", format!("/sessions/{id}/labels"), SPOT_LABEL),
+        ("POST", format!("/sessions/{id}/fit"), ""),
+    ]
+}
+
+/// `(wal_seq, matrix_digest)` of the one session a listing holds.
+fn listed_cursor(listing: &str) -> (String, String) {
+    let field = |name: &str| {
+        listing
+            .split(&format!("\"{name}\":"))
+            .nth(1)
+            .and_then(|s| s.split([',', '}']).next())
+            .map(str::to_string)
+            .unwrap_or_else(|| panic!("no {name} in {listing}"))
+    };
+    (field("wal_seq"), field("matrix_digest"))
+}
+
+#[test]
+fn promoted_follower_edits_then_rebalances_to_a_storeless_shard() {
+    let dir = state_dir("promote-move");
+    let primary = Server::start(ServerConfig {
+        workers: 1,
+        state_dir: Some(dir.clone()),
+        repl_addr: Some("127.0.0.1:0".to_string()),
+        ..Default::default()
+    })
+    .unwrap();
+    let follower = Server::start(ServerConfig {
+        workers: 1,
+        follow: Some(primary.repl_addr().unwrap().to_string()),
+        ..Default::default()
+    })
+    .unwrap();
+    let target = Server::start(ServerConfig {
+        workers: 1,
+        ..Default::default()
+    })
+    .unwrap();
+    let (f, t) = (follower.addr(), target.addr());
+
+    let id = drive_over_http(primary.addr());
+    wait_for(|| follower_caught_up(f, id, 5), "follower to apply seq 5");
+    let (status, body) = common::request(f, "POST", "/promote", "");
+    assert_eq!(status, 200, "{body}");
+    for (method, path, body) in edits(id) {
+        let (status, resp) = common::request(f, method, &path, body);
+        assert_eq!(status, 200, "{method} {path}: {resp}");
+    }
+    let (_, pre_match) = common::request(f, "POST", "/match", &match_request(id));
+    let (_, pre_body) = common::request(f, "GET", &format!("/sessions/{id}"), "");
+    let (_, pre_list) = common::request(f, "GET", "/sessions", "");
+    assert_eq!(listed_cursor(&pre_list).0, "9", "{pre_list}");
+
+    let move_body = format!(r#"{{"session":{id},"target":"{t}"}}"#);
+    let (status, resp) = common::request(f, "POST", "/rebalance", &move_body);
+    assert_eq!(status, 200, "{resp}");
+    assert!(resp.contains("\"status\":\"moved\""), "{resp}");
+
+    let (status, post_match) = common::request(t, "POST", "/match", &match_request(id));
+    assert_eq!(status, 200, "{post_match}");
+    assert_eq!(pre_match, post_match, "moved /match must be byte-identical");
+    let (_, post_body) = common::request(t, "GET", &format!("/sessions/{id}"), "");
+    assert_eq!(pre_body, post_body, "moved session body must be identical");
+    let (_, post_list) = common::request(t, "GET", "/sessions", "");
+    assert_eq!(listed_cursor(&pre_list), listed_cursor(&post_list));
+
+    for server in [primary, follower, target] {
+        server.shutdown();
+        server.join();
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn adopted_handoff_on_a_durable_shard_survives_a_kill() {
+    let dir = state_dir("adopt-src");
+    let (id, records) = driven_wal(&dir);
+    let target_dir = state_dir("adopt-dst");
+    let open_target = || {
+        AppState::open(StateOptions {
+            state_dir: Some(target_dir.clone()),
+            snapshot_every: 3,
+            ..Default::default()
+        })
+        .unwrap()
+    };
+    let m = req("POST", "/match", &match_request(id));
+    let get = req("GET", &format!("/sessions/{id}"), "");
+    let (pre_info, pre_match, pre_body) = {
+        let target = open_target();
+        let body = serde_json::to_string(&HandoffRequest {
+            session: id,
+            snapshot: None,
+            tail: records,
+        })
+        .unwrap();
+        let resp = handle(&target, &req("POST", "/handoff", &body));
+        assert_eq!(resp.status, 200, "{}", resp.body);
+        for (method, path, body) in edits(id) {
+            let resp = handle(&target, &req(method, &path, body));
+            assert_eq!(resp.status, 200, "{method} {path}: {}", resp.body);
+        }
+        let info = target.list()[0];
+        assert_eq!(info.wal_seq, 9);
+        (info, handle(&target, &m).body, handle(&target, &get).body)
+        // `target` dropped here without compact_all(): the SIGKILL.
+    };
+
+    let target = open_target();
+    let info = target.list()[0];
+    assert!(info.recovered);
+    assert_eq!(
+        (info.wal_seq, info.matrix_digest),
+        (pre_info.wal_seq, pre_info.matrix_digest)
+    );
+    assert_eq!(handle(&target, &m).body, pre_match, "match scores drifted");
+    assert_eq!(
+        handle(&target, &get).body,
+        pre_body,
+        "snapshot body drifted"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&target_dir);
+}
+
 /// Reserve two distinct loopback ports (bind-then-drop; raceable in
 /// principle, fine in practice for a test).
 fn two_free_ports() -> (SocketAddr, SocketAddr) {

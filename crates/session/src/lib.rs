@@ -19,7 +19,6 @@
 //! | Left/right-click labeling + estimated precision (Step 5) | [`PandaSession::sample_predicted_matches`], [`PandaSession::label_pair`], [`EmStats::estimated_precision`] |
 //! | Deployment phase | [`PandaSession::deploy`] |
 
-pub mod authoring;
 pub mod debug;
 pub mod events;
 pub mod panels;
@@ -28,7 +27,6 @@ pub mod sampling;
 pub mod scale;
 pub mod session;
 
-pub use authoring::generate_notebook;
 pub use debug::DebugQuery;
 pub use events::SessionEvent;
 pub use panels::{DataViewerRow, EmStats, SessionSnapshot};

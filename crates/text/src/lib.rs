@@ -15,10 +15,7 @@
 //!    overlap, Dice, cosine, Levenshtein (plain, bounded, normalised),
 //!    Jaro, Jaro-Winkler, Monge-Elkan.
 //!
-//! [`align`] adds sequence-alignment similarities (Needleman-Wunsch,
-//! Smith-Waterman, affine-gap) and [`phonetic`] adds Soundex/Metaphone
-//! encodings — both classic EM-toolkit members beyond the paper's four
-//! axes. [`extract`] adds regex-based attribute extractors (sizes, prices, model
+//! [`extract`] adds regex-based attribute extractors (sizes, prices, model
 //! codes, years) built on the in-tree [`panda_regex`] engine — these power
 //! LFs like the paper's `size_unmatch`. [`config`] combines one choice
 //! along each axis into a [`config::SimilarityConfig`], the unit that
@@ -45,10 +42,8 @@
 //! assert!(custom.score("connected", "connecting", None) > 0.5);
 //! ```
 
-pub mod align;
 pub mod config;
 pub mod extract;
-pub mod phonetic;
 pub mod prepared;
 pub mod preprocess;
 pub mod sim;
