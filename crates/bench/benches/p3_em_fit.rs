@@ -1,183 +1,25 @@
-//! **P3 — EM-fit kernels** (paper §2.1 feature 3): the labeling-model fit
-//! on a planted matrix, plus a head-to-head of one EM iteration (M-step +
-//! E-step) in the old scalar `Vec<i8>` shape against the shipped
-//! bit-packed word-at-a-time shape. `BENCH_emfit.json` at the repo root
-//! records the fit medians the bench gate holds the line on, and the
-//! step-kernel ratio backing the packed-vote rewrite.
+//! **P3 — EM fit** (paper §2.1 feature 3): the labeling-model fits
+//! `BENCH_emfit.json` records and `bench_gate` holds — cold Panda and
+//! Snorkel fits of a planted 20k-pair, 10-LF matrix (random vote rows,
+//! the worst case for vote patterns) and a warm-started Panda refit of an
+//! `ide_loop`-style abt-buy 300 session (auto plus curated LFs), the fit
+//! a Step-4 edit round runs. The cases live in `panda_bench::emfit`.
 //!
-//! Run: `cargo bench -p panda-bench --bench p3_em_fit`
+//! Run: `PANDA_WORKERS=1 cargo bench -p panda-bench --bench p3_em_fit`
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use panda_lf::{PackedVotes, VOTES_PER_WORD};
-use panda_model::testutil::{plant, Planted, PlantedLf};
-use panda_model::{LabelModel, PandaModel, SnorkelModel};
-use std::hint::black_box;
-use std::time::Instant;
-
-/// The shared workload: 20k pairs, 10 LFs of mixed quality/propensity —
-/// large enough that the EM inner loops dominate the fit.
-fn workload() -> Planted {
-    let lfs = [
-        PlantedLf::symmetric(0.9, 0.85),
-        PlantedLf::symmetric(0.8, 0.9),
-        PlantedLf::symmetric(0.7, 0.75),
-        PlantedLf::symmetric(0.5, 0.8),
-        PlantedLf::symmetric(0.9, 0.7),
-        PlantedLf::symmetric(0.3, 0.95),
-        PlantedLf::symmetric(0.6, 0.65),
-        PlantedLf::symmetric(0.8, 0.8),
-        PlantedLf::symmetric(0.4, 0.7),
-        PlantedLf::symmetric(0.7, 0.9),
-    ];
-    plant(20_000, 0.15, &lfs, 4242)
-}
+use panda_bench::emfit;
 
 fn bench_fit(c: &mut Criterion) {
-    let p = workload();
-    let n = p.candidates.len() as u64;
-
     let mut g = c.benchmark_group("em_fit");
     g.sample_size(10);
-    g.throughput(Throughput::Elements(n));
-    g.bench_function("panda/20k_pairs_10lfs", |b| {
-        b.iter_custom(|iters| {
-            let start = Instant::now();
-            for _ in 0..iters {
-                let mut model = PandaModel::new();
-                black_box(model.fit_predict(&p.matrix, None));
-            }
-            start.elapsed()
-        });
-    });
-    g.bench_function("snorkel/20k_pairs_10lfs", |b| {
-        b.iter_custom(|iters| {
-            let start = Instant::now();
-            for _ in 0..iters {
-                let mut model = SnorkelModel::new();
-                black_box(model.fit_predict(&p.matrix, None));
-            }
-            start.elapsed()
-        });
-    });
+    for case in emfit::cases() {
+        g.throughput(Throughput::Elements(case.pairs() as u64));
+        let id = case.name.strip_prefix("em_fit/").unwrap_or(&case.name);
+        g.bench_function(id, |b| b.iter_custom(|iters| case.time(iters)));
+    }
     g.finish();
 }
 
-/// One EM iteration (M-step counts + E-step posterior update) in the
-/// pre-rewrite scalar shape: pair-major over `Vec<i8>` columns with a
-/// branch per vote.
-fn scalar_em_step(cols: &[Vec<i8>], gamma: &mut [f64], theta: &mut [[f64; 3]]) -> f64 {
-    let n = gamma.len();
-    for (j, col) in cols.iter().enumerate() {
-        let mut cm = [0.5f64; 3];
-        for (i, &v) in col.iter().enumerate() {
-            let slot = match v {
-                1.. => 0,
-                0 => 2,
-                _ => 1,
-            };
-            cm[slot] += gamma[i];
-        }
-        let z: f64 = cm.iter().sum();
-        theta[j] = [cm[0] / z, cm[1] / z, cm[2] / z];
-    }
-    let mut delta = 0.0;
-    for i in 0..n {
-        let mut lo = 0.0;
-        for (j, col) in cols.iter().enumerate() {
-            let slot = match col[i] {
-                1.. => 0,
-                0 => 2,
-                _ => 1,
-            };
-            lo += theta[j][slot].ln().clamp(-2.5, 2.5);
-        }
-        let g = 1.0 / (1.0 + (-lo).exp());
-        delta += (g - gamma[i]).abs();
-        gamma[i] = g;
-    }
-    delta
-}
-
-/// The same iteration in the shipped packed shape: LF-major over 2-bit
-/// vote words, per-LF 4-entry term tables, branch-free lane decode.
-fn packed_em_step(cols: &[&PackedVotes], gamma: &mut [f64], theta: &mut [[f64; 3]]) -> f64 {
-    const CODE_SLOT: [usize; 4] = [2, 0, 1, 2];
-    let n = gamma.len();
-    for (j, col) in cols.iter().enumerate() {
-        let mut cm = [0.5f64; 3];
-        for (w_idx, &word) in col.words().iter().enumerate() {
-            let start = w_idx * VOTES_PER_WORD;
-            let lanes = (n - start).min(VOTES_PER_WORD);
-            let mut w = word;
-            for &g in &gamma[start..start + lanes] {
-                cm[CODE_SLOT[(w & 0b11) as usize]] += g;
-                w >>= 2;
-            }
-        }
-        let z: f64 = cm.iter().sum();
-        theta[j] = [cm[0] / z, cm[1] / z, cm[2] / z];
-    }
-    let mut lo = vec![0.0f64; n];
-    for (j, col) in cols.iter().enumerate() {
-        let table: [f64; 4] = [
-            theta[j][2].ln().clamp(-2.5, 2.5),
-            theta[j][0].ln().clamp(-2.5, 2.5),
-            theta[j][1].ln().clamp(-2.5, 2.5),
-            0.0,
-        ];
-        for (w_idx, &word) in col.words().iter().enumerate() {
-            let start = w_idx * VOTES_PER_WORD;
-            let lanes = (n - start).min(VOTES_PER_WORD);
-            let mut w = word;
-            for lo_i in &mut lo[start..start + lanes] {
-                *lo_i += table[(w & 0b11) as usize];
-                w >>= 2;
-            }
-        }
-    }
-    let mut delta = 0.0;
-    for (g_i, &lo_i) in gamma.iter_mut().zip(&lo) {
-        let g = 1.0 / (1.0 + (-lo_i).exp());
-        delta += (g - *g_i).abs();
-        *g_i = g;
-    }
-    delta
-}
-
-fn bench_step_kernels(c: &mut Criterion) {
-    let p = workload();
-    let n = p.candidates.len();
-    let scalar_cols: Vec<Vec<i8>> = p.matrix.columns().map(|(_, c)| c).collect();
-    let packed_cols: Vec<&PackedVotes> = p.matrix.packed_columns().map(|(_, c)| c).collect();
-    let gamma0 = vec![0.15f64; n];
-    let m = scalar_cols.len();
-
-    let mut g = c.benchmark_group("em_step");
-    g.throughput(Throughput::Elements((n * m) as u64));
-    g.bench_function("scalar_i8", |b| {
-        b.iter_custom(|iters| {
-            let mut gamma = gamma0.clone();
-            let mut theta = vec![[0.0f64; 3]; m];
-            let start = Instant::now();
-            for _ in 0..iters {
-                black_box(scalar_em_step(&scalar_cols, &mut gamma, &mut theta));
-            }
-            start.elapsed()
-        });
-    });
-    g.bench_function("packed_words", |b| {
-        b.iter_custom(|iters| {
-            let mut gamma = gamma0.clone();
-            let mut theta = vec![[0.0f64; 3]; m];
-            let start = Instant::now();
-            for _ in 0..iters {
-                black_box(packed_em_step(&packed_cols, &mut gamma, &mut theta));
-            }
-            start.elapsed()
-        });
-    });
-    g.finish();
-}
-
-criterion_group!(benches, bench_fit, bench_step_kernels);
+criterion_group!(benches, bench_fit);
 criterion_main!(benches);

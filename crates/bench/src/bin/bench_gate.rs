@@ -7,11 +7,11 @@
 //! compares the `autolf.generate` span mean against the committed
 //! `after.ns_per_iter` medians. A case fails when its mean exceeds
 //! `baseline × 1.25 × PANDA_BENCH_GATE_SLACK` (slack defaults to 1.0;
-//! CI sets it higher to absorb shared-runner noise). It then replays the
-//! `p3_em_fit` planted workload through `PandaModel`/`SnorkelModel`
-//! `fit_predict` and holds each against its `em_fit/*` line the same
-//! way, then the `p4_lf_apply` and `p5_blocking` workloads against their
-//! `BENCH_lfapply.json` and `BENCH_blocking.json` lines. Finally it boots an
+//! CI sets it higher to absorb shared-runner noise). It then times the
+//! `p3_em_fit`, `p4_lf_apply` and `p5_blocking` workloads, each case on
+//! its own input and on one compute worker, and holds them the same way
+//! against their `BENCH_emfit.json`, `BENCH_lfapply.json` and
+//! `BENCH_blocking.json` lines. Finally it boots an
 //! in-process `panda-serve` and drives a short keep-alive `/healthz`
 //! burst: measured throughput must stay above the committed `healthz`
 //! number divided by the same limit factor (throughput gates divide
@@ -194,24 +194,6 @@ fn hold_ns_lines(name: &str, lines: &[(String, f64, f64)], limit_factor: f64) ->
     }
     println!("       metrics → {}", mpath.display());
     held
-}
-
-/// The same planted workload as `benches/p3_em_fit.rs`.
-fn emfit_workload() -> panda_model::testutil::Planted {
-    use panda_model::testutil::{plant, PlantedLf};
-    let lfs = [
-        PlantedLf::symmetric(0.9, 0.85),
-        PlantedLf::symmetric(0.8, 0.9),
-        PlantedLf::symmetric(0.7, 0.75),
-        PlantedLf::symmetric(0.5, 0.8),
-        PlantedLf::symmetric(0.9, 0.7),
-        PlantedLf::symmetric(0.3, 0.95),
-        PlantedLf::symmetric(0.6, 0.65),
-        PlantedLf::symmetric(0.8, 0.8),
-        PlantedLf::symmetric(0.4, 0.7),
-        PlantedLf::symmetric(0.7, 0.9),
-    ];
-    plant(20_000, 0.15, &lfs, 4242)
 }
 
 /// Committed keep-alive `/healthz` throughput from `BENCH_serve.json`.
@@ -567,46 +549,24 @@ fn main() -> ExitCode {
         }
     }
 
-    // EM-fit gate: label-model fit time on the planted matrix must hold
-    // the BENCH_emfit.json line. The `em_step/*` kernel-comparison case
-    // documents the packed-vote speedup; it is not a line to hold.
-    match load_after_ns("BENCH_emfit.json", "em_fit/") {
-        Ok(emfit_baselines) => {
-            use panda_model::{LabelModel, PandaModel, SnorkelModel};
-            let planted = emfit_workload();
-            let mut lines = Vec::new();
-            for (case, baseline_ns) in emfit_baselines {
-                // "em_fit/panda/20k_pairs_10lfs" → "panda".
-                let fit: fn(&panda_lf::LabelMatrix) -> Vec<f64> = match case.split('/').nth(1) {
-                    Some("panda") => |m| PandaModel::new().fit_predict(m, None),
-                    Some("snorkel") => |m| SnorkelModel::new().fit_predict(m, None),
-                    _ => {
-                        eprintln!("bench_gate: unknown em_fit case {case:?}");
-                        failed = true;
-                        continue;
-                    }
-                };
-                black_box(fit(&planted.matrix));
-                let started = std::time::Instant::now();
-                for _ in 0..ITERS {
-                    black_box(fit(&planted.matrix));
-                }
-                let mean_ns = started.elapsed().as_nanos() as f64 / f64::from(ITERS);
-                lines.push((case, mean_ns, baseline_ns));
-            }
-            failed |= !hold_ns_lines("emfit", &lines, limit_factor);
-        }
-        Err(e) => {
-            eprintln!("bench_gate: em_fit gate: {e}");
-            failed = true;
-        }
-    }
-
-    // LF-application and blocking gates: full apply, incremental
-    // add_column and the deploy and load blocking calls must hold the
-    // BENCH_lfapply.json and BENCH_blocking.json lines.
+    // EM-fit, LF-application and blocking gates: the planted and refit
+    // label-model fits, full apply, incremental add_column and the deploy
+    // and load blocking calls must hold the BENCH_emfit.json,
+    // BENCH_lfapply.json and BENCH_blocking.json lines, each timed on its
+    // own input.
     {
-        use panda_bench::{blocking, lfapply};
+        use panda_bench::{blocking, emfit, lfapply};
+        let [panda, snorkel, refit] = emfit::cases();
+        failed |= !hold_one_worker_lines(
+            "BENCH_emfit.json",
+            "emfit",
+            &[
+                (&panda.name, &|n| panda.time(n)),
+                (&snorkel.name, &|n| snorkel.time(n)),
+                (&refit.name, &|n| refit.time(n)),
+            ],
+            limit_factor,
+        );
         let (apply, add_column) = (lfapply::apply_case(), lfapply::add_column_case());
         failed |= !hold_one_worker_lines(
             "BENCH_lfapply.json",

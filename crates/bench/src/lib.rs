@@ -435,6 +435,118 @@ pub mod blocking {
     }
 }
 
+/// The `BENCH_emfit.json` workloads, shared by `benches/p3_em_fit.rs`
+/// and `bench_gate` so both time exactly the same fits on the same inputs.
+pub mod emfit {
+    use panda_datasets::{generate, DatasetFamily, GeneratorConfig};
+    use panda_lf::LabelMatrix;
+    use panda_model::testutil::{plant, PlantedLf};
+    use panda_model::{LabelModel, PandaModel, SnorkelModel};
+    use panda_session::{PandaSession, SessionConfig};
+    use std::hint::black_box;
+    use std::time::{Duration, Instant};
+
+    /// One timed label-model fit.
+    pub struct Case {
+        /// Case key in `BENCH_emfit.json` (`em_fit/<model>/<input>`).
+        pub name: String,
+        matrix: LabelMatrix,
+        /// Posteriors a refit is warm-started from.
+        warm: Option<Vec<f64>>,
+        model: fn() -> Box<dyn LabelModel>,
+    }
+
+    /// The planted 20k-pair, 10-LF matrix (`testutil::plant`, seed 4242,
+    /// prior 0.15). Its votes are drawn independently per pair, so few
+    /// rows repeat: the worst case for vote patterns.
+    fn planted() -> LabelMatrix {
+        let lfs = [
+            PlantedLf::symmetric(0.9, 0.85),
+            PlantedLf::symmetric(0.8, 0.9),
+            PlantedLf::symmetric(0.7, 0.75),
+            PlantedLf::symmetric(0.5, 0.8),
+            PlantedLf::symmetric(0.9, 0.7),
+            PlantedLf::symmetric(0.3, 0.95),
+            PlantedLf::symmetric(0.6, 0.65),
+            PlantedLf::symmetric(0.8, 0.8),
+            PlantedLf::symmetric(0.4, 0.7),
+            PlantedLf::symmetric(0.7, 0.9),
+        ];
+        plant(20_000, 0.15, &lfs, 4242).matrix
+    }
+
+    /// A session built like `ide_loop`'s (abt-buy 300, auto LFs, then the
+    /// curated LFs and a refit): its matrix and converged posteriors.
+    fn ide_session() -> (LabelMatrix, Vec<f64>) {
+        let tables = generate(
+            DatasetFamily::AbtBuy,
+            &GeneratorConfig::new(3).with_entities(300),
+        );
+        let config = SessionConfig {
+            seed: 3,
+            ..SessionConfig::default()
+        };
+        let mut session = PandaSession::load(tables, config);
+        for lf in super::curated_lfs(DatasetFamily::AbtBuy) {
+            session.upsert_lf(lf);
+        }
+        session.apply();
+        (session.matrix().clone(), session.posteriors().to_vec())
+    }
+
+    /// Every case: cold Panda and Snorkel fits of the planted matrix, and
+    /// a warm-started Panda refit of the `ide_loop`-style session — the
+    /// fit a Step-4 edit round runs.
+    pub fn cases() -> [Case; 3] {
+        let planted = planted();
+        let (matrix, posteriors) = ide_session();
+        let refit = format!("em_fit/panda_refit/abt_buy_300e_{}pairs", matrix.n_pairs());
+        [
+            Case {
+                name: "em_fit/panda/20k_pairs_10lfs".into(),
+                matrix: planted.clone(),
+                warm: None,
+                model: || Box::new(PandaModel::new()),
+            },
+            Case {
+                name: "em_fit/snorkel/20k_pairs_10lfs".into(),
+                matrix: planted,
+                warm: None,
+                model: || Box::new(SnorkelModel::new()),
+            },
+            Case {
+                name: refit,
+                matrix,
+                warm: Some(posteriors),
+                model: || Box::new(PandaModel::new()),
+            },
+        ]
+    }
+
+    impl Case {
+        /// Candidate pairs of the fitted matrix.
+        pub fn pairs(&self) -> usize {
+            self.matrix.n_pairs()
+        }
+
+        /// Wall time of `iters` fits, each by a fresh model (warm-started
+        /// off the clock when the case has a warm start).
+        pub fn time(&self, iters: u64) -> Duration {
+            let mut total = Duration::ZERO;
+            for _ in 0..iters {
+                let mut model = (self.model)();
+                if let Some(warm) = &self.warm {
+                    model.set_warm_start(warm);
+                }
+                let started = Instant::now();
+                black_box(model.fit_predict(black_box(&self.matrix), None));
+                total += started.elapsed();
+            }
+            total
+        }
+    }
+}
+
 /// Mean of a slice.
 pub fn mean(xs: &[f64]) -> f64 {
     if xs.is_empty() {

@@ -23,6 +23,11 @@
 //! All models implement [`LabelModel`] and return calibrated-ish
 //! probabilities in `[0,1]`; `predictions` thresholds at 0.5.
 //!
+//! Both EM models fit in **vote-pattern space**: EM sees a pair only
+//! through its row of votes, so each distinct row is visited once per
+//! iteration, weighted by how many pairs carry it, and every sum over
+//! responsibilities is exact — a fit does not depend on pair order.
+//!
 //! ```
 //! use panda_model::{LabelModel, PandaModel, testutil};
 //!
@@ -41,7 +46,10 @@
 
 pub mod correlation;
 pub mod majority;
+#[cfg(test)]
+mod oracle;
 pub mod panda;
+mod patterns;
 pub mod snorkel;
 #[doc(hidden)]
 pub mod testutil;
@@ -121,32 +129,6 @@ pub trait LabelModel: Send {
 /// Threshold posteriors into hard decisions at `0.5`.
 pub fn predictions(posteriors: &[f64]) -> Vec<bool> {
     posteriors.iter().map(|&g| g >= 0.5).collect()
-}
-
-/// Smoothed majority-vote initialisation for EM models: a pair with `p`
-/// positive and `n` negative votes starts at `(p + k·prior) / (p + n + k)`
-/// with `k = 2` pseudo-votes. Unlike hard majority vote, a *single* weak
-/// +1 vote cannot saturate the posterior to 1.0 — which under class
-/// imbalance would hand EM a huge spurious "match" cluster (e.g. every
-/// chance price coincidence) and let it converge to an inverted labeling.
-pub(crate) fn smoothed_majority_init(matrix: &panda_lf::LabelMatrix, prior: f64) -> Vec<f64> {
-    const K: f64 = 2.0;
-    let n = matrix.n_pairs();
-    let mut pos = vec![0.0f64; n];
-    let mut tot = vec![0.0f64; n];
-    for (_, col) in matrix.columns() {
-        for (i, &v) in col.iter().enumerate() {
-            if v > 0 {
-                pos[i] += 1.0;
-                tot[i] += 1.0;
-            } else if v < 0 {
-                tot[i] += 1.0;
-            }
-        }
-    }
-    (0..n)
-        .map(|i| (pos[i] + K * prior) / (tot[i] + K))
-        .collect()
 }
 
 /// Numerically safe logit.

@@ -17,14 +17,18 @@
 //!    vector onto the ZeroER feasible set `γ_ij·γ_ik ≤ γ_jk`
 //!    (see [`crate::transitivity`]).
 
+use crate::patterns::{Resp, VotePatterns};
 use crate::transitivity::{TransitivityGraph, TransitivityMode};
 use crate::{logit, sigmoid, LabelModel};
-use panda_lf::{LabelMatrix, PackedVotes, VOTES_PER_WORD};
+use panda_lf::LabelMatrix;
 use panda_table::CandidateSet;
 
 /// 2-bit vote code → θ slot (`0` = +1, `1` = −1, `2` = abstain). The
 /// reserved code `0b11` maps to abstain defensively; it is never stored.
-const CODE_SLOT: [usize; 4] = [2, 0, 1, 2];
+pub(crate) const CODE_SLOT: [usize; 4] = [2, 0, 1, 2];
+
+/// Dirichlet smoothing of each class's 3-way vote distribution.
+pub(crate) const ALPHA: f64 = 0.5;
 
 /// One multi-start EM run's outcome (diagnostics).
 #[derive(Debug, Clone)]
@@ -157,15 +161,15 @@ impl PandaModel {
 
 /// One converged EM run. `theta_m[j]` / `theta_u[j]` are each LF's
 /// per-class vote distributions `[P(+1|y), P(−1|y), P(0|y)]`.
-struct EmSolution {
-    gamma: Vec<f64>,
-    pi: f64,
-    theta_m: Vec<[f64; 3]>,
-    theta_u: Vec<[f64; 3]>,
+pub(crate) struct EmSolution {
+    pub(crate) gamma: Resp,
+    pub(crate) pi: f64,
+    pub(crate) theta_m: Vec<[f64; 3]>,
+    pub(crate) theta_u: Vec<[f64; 3]>,
     /// E/M iterations executed before convergence (or `max_iters`).
-    iters: usize,
+    pub(crate) iters: usize,
     /// Mean |Δγ| of the final E-step (≤ `tol` iff converged).
-    final_delta: f64,
+    pub(crate) final_delta: f64,
 }
 
 impl EmSolution {
@@ -200,11 +204,11 @@ impl EmSolution {
 /// is unusable here: the mixture can absorb all votes into one class, and
 /// the abstention structure — which the E-step clamps for the same reason
 /// — dominates the full likelihood.)
-fn informativeness(cols: &[&PackedVotes], sol: &EmSolution) -> f64 {
-    cols.iter()
+pub(crate) fn informativeness(lf_votes: &[[u64; 2]], sol: &EmSolution) -> f64 {
+    lf_votes
+        .iter()
         .enumerate()
-        .map(|(j, col)| {
-            let (n_match, n_unmatch, _) = col.counts();
+        .map(|(j, &[n_match, n_unmatch])| {
             let votes = (n_match + n_unmatch) as f64;
             let youden = (sol.acc_match(j) + sol.acc_unmatch(j) - 1.0).max(0.0);
             votes * youden
@@ -212,12 +216,53 @@ fn informativeness(cols: &[&PackedVotes], sol: &EmSolution) -> f64 {
         .sum()
 }
 
+/// One LF's M-step: its smoothed per-class vote counts `cm`, `cu` (slots
+/// `[+1, −1, abstain]`, [`ALPHA`] included) and the class masses `s_m`,
+/// `s_u` → its vote distributions under match and non-match.
+pub(crate) fn class_conditional(
+    cm: [f64; 3],
+    cu: [f64; 3],
+    s_m: f64,
+    s_u: f64,
+) -> ([f64; 3], [f64; 3]) {
+    let zm = s_m + 3.0 * ALPHA;
+    let zu = s_u + 3.0 * ALPHA;
+    let mut tm = [cm[0] / zm, cm[1] / zm, cm[2] / zm];
+    let mut tu = [cu[0] / zu, cu[1] / zu, cu[2] / zu];
+
+    // Polarity monotonicity (the "votes mean what they say"
+    // identifiability constraint): a +1 vote may not be *less* likely
+    // under match than under non-match, and vice versa for −1. A violating
+    // estimate is pooled to the common rate, making the vote vacuous
+    // instead of inverted. This replaces a hard 0.5 accuracy anchor, which
+    // for one-sided LFs (never voting −1) manufactured spurious evidence
+    // out of the unidentifiable side.
+    if tm[0] < tu[0] {
+        let pooled = (s_m * tm[0] + s_u * tu[0]) / (s_m + s_u).max(1e-9);
+        tm[0] = pooled;
+        tu[0] = pooled;
+    }
+    if tu[1] < tm[1] {
+        let pooled = (s_m * tm[1] + s_u * tu[1]) / (s_m + s_u).max(1e-9);
+        tm[1] = pooled;
+        tu[1] = pooled;
+    }
+    // Renormalise (pooling perturbs the simplex slightly).
+    for t in [&mut tm, &mut tu] {
+        let z: f64 = t.iter().sum();
+        for x in t.iter_mut() {
+            *x = (*x / z).max(1e-4);
+        }
+    }
+    (tm, tu)
+}
+
 /// Per-LF lookup tables for the E-step: 2-bit vote code → discounted,
 /// clamped log-odds term. Entries use exactly the expression
 /// [`LabelModel::posterior_for_votes`] replicates, so the table-driven
 /// E-step and ad-hoc scoring agree bit-exactly. The reserved code `0b11`
 /// maps to 0 (never stored).
-fn vote_term_tables(
+pub(crate) fn vote_term_tables(
     theta_m: &[[f64; 3]],
     theta_u: &[[f64; 3]],
     discounts: &[f64],
@@ -241,97 +286,57 @@ fn vote_term_tables(
         .collect()
 }
 
+/// The transitivity projection's per-pair inputs, from per-row vote
+/// counts. Pairs with no LF votes carry no evidence of their own: their
+/// posterior is free to be set by the implication `γ_x·γ_y` (`movable`).
+/// Each pair's evidence weight is `0.5 + votes cast` (`weights`).
+fn projection_inputs(pat: &VotePatterns) -> (Vec<bool>, Vec<f64>) {
+    pat.row_of()
+        .iter()
+        .map(|&r| {
+            let cast = pat.tallies()[r as usize][1];
+            (cast == 0, 0.5 + f64::from(cast))
+        })
+        .unzip()
+}
+
 impl PandaModel {
-    /// Run EM to convergence from one initial posterior vector.
-    ///
-    /// Both steps iterate the **packed** vote columns word-at-a-time
-    /// (32 votes per `u64`, branch-free slot lookup) in LF-major order.
-    /// The per-pair float addition sequence is identical to the historical
-    /// pair-major scalar loop, so posteriors are bit-identical to it —
-    /// the property `posterior_for_votes` and the wire-parity tests rely
-    /// on.
+    /// Run EM to convergence from one start, in vote-pattern space: the
+    /// E-step once per distinct row, the M-step from the exact
+    /// count-weighted sums of [`VotePatterns::mass`]. A per-pair warm
+    /// start is folded into per-row sums by its first M-step.
     fn em_run(
         &self,
-        cols: &[&PackedVotes],
+        pat: &VotePatterns,
         discounts: &[f64],
-        n: usize,
-        mut gamma: Vec<f64>,
+        mut gamma: Resp,
         init: &'static str,
     ) -> EmSolution {
-        let m = cols.len();
+        let m = pat.n_lfs();
         let mut pi = self.prior;
         let mut theta_m = vec![[0.3f64, 0.3, 0.4]; m];
         let mut theta_u = vec![[0.3f64, 0.3, 0.4]; m];
         let mut iters = 0usize;
         let mut final_delta = f64::INFINITY;
-        // Per-pair accumulated log-odds, reused across iterations.
-        let mut lo = vec![0.0f64; n];
 
         for _iter in 0..self.max_iters {
             iters += 1;
             // M-step from current responsibilities (iteration 0 consumes
-            // the warm start): per class, each LF's vote distribution is a
+            // the start): per class, each LF's vote distribution is a
             // smoothed 3-way categorical over {+1, −1, 0}.
-            let s_m: f64 = gamma.iter().sum();
-            let s_u: f64 = n as f64 - s_m;
-            const ALPHA: f64 = 0.5; // Dirichlet smoothing
-            for (j, col) in cols.iter().enumerate() {
-                let mut cm = [ALPHA; 3];
-                let mut cu = [ALPHA; 3];
-                for (w_idx, &word) in col.words().iter().enumerate() {
-                    let start = w_idx * VOTES_PER_WORD;
-                    let lanes = (n - start).min(VOTES_PER_WORD);
-                    let mut w = word;
-                    for &g in &gamma[start..start + lanes] {
-                        let slot = CODE_SLOT[(w & 0b11) as usize];
-                        cm[slot] += g;
-                        cu[slot] += 1.0 - g;
-                        w >>= 2;
-                    }
-                }
-                let zm = s_m + 3.0 * ALPHA;
-                let zu = s_u + 3.0 * ALPHA;
-                let mut tm = [cm[0] / zm, cm[1] / zm, cm[2] / zm];
-                let mut tu = [cu[0] / zu, cu[1] / zu, cu[2] / zu];
-
-                // Polarity monotonicity (the "votes mean what they say"
-                // identifiability constraint): a +1 vote may not be *less*
-                // likely under match than under non-match, and vice versa
-                // for −1. A violating estimate is pooled to the common
-                // rate, making the vote vacuous instead of inverted. This
-                // replaces a hard 0.5 accuracy anchor, which for one-sided
-                // LFs (never voting −1) manufactured spurious evidence
-                // out of the unidentifiable side.
-                if tm[0] < tu[0] {
-                    let pooled = (s_m * tm[0] + s_u * tu[0]) / (s_m + s_u).max(1e-9);
-                    tm[0] = pooled;
-                    tu[0] = pooled;
-                }
-                if tu[1] < tm[1] {
-                    let pooled = (s_m * tm[1] + s_u * tu[1]) / (s_m + s_u).max(1e-9);
-                    tm[1] = pooled;
-                    tu[1] = pooled;
-                }
-                // Renormalise (pooling perturbs the simplex slightly).
-                for t in [&mut tm, &mut tu] {
-                    let z: f64 = t.iter().sum();
-                    for x in t.iter_mut() {
-                        *x = (*x / z).max(1e-4);
-                    }
-                }
-                theta_m[j] = tm;
-                theta_u[j] = tu;
+            let mass = pat.mass(&gamma);
+            let (s_m, s_u) = pat.classes(&mass);
+            for j in 0..m {
+                let (gm, gu) = pat.slots(&mass, j);
+                (theta_m[j], theta_u[j]) =
+                    class_conditional(gm.map(|x| ALPHA + x), gu.map(|x| ALPHA + x), s_m, s_u);
             }
             if self.learn_prior {
-                pi = (s_m / n as f64).clamp(1e-4, self.max_prior);
+                pi = (s_m / pat.n_pairs() as f64).clamp(1e-4, self.max_prior);
             }
 
-            // E-step, LF-major over packed words. Each LF contributes one
-            // of four precomputed terms per pair, selected by the 2-bit
-            // vote code — the inner loop is a table lookup plus an add,
-            // with no per-vote branches. Per pair the additions still
-            // happen in ascending-j order on top of `logit(pi)`, so the
-            // result is bit-identical to the historical per-pair loop.
+            // E-step: each LF contributes one of four precomputed terms
+            // per row, selected by the 2-bit vote code.
             //
             // Abstention is evidence, but weak evidence: clamp its
             // log-odds so systematic abstention patterns cannot flip the
@@ -340,43 +345,24 @@ impl PandaModel {
             // ±2.5 nats, the equivalent of ~92% accuracy — the same role
             // the accuracy ceiling plays in the Snorkel baseline.
             let term_tables = vote_term_tables(&theta_m, &theta_u, discounts);
-            lo.fill(logit(pi));
-            for (j, col) in cols.iter().enumerate() {
-                let table = &term_tables[j];
-                for (w_idx, &word) in col.words().iter().enumerate() {
-                    let start = w_idx * VOTES_PER_WORD;
-                    let lanes = (n - start).min(VOTES_PER_WORD);
-                    let mut w = word;
-                    for lo_i in &mut lo[start..start + lanes] {
-                        *lo_i += table[(w & 0b11) as usize];
-                        w >>= 2;
-                    }
-                }
-            }
-            let mut delta = 0.0;
-            for (g_i, &lo_i) in gamma.iter_mut().zip(&lo) {
-                let g = sigmoid(lo_i);
-                delta += (g - *g_i).abs();
-                *g_i = g;
-            }
+            final_delta = pat.e_step(logit(pi), &term_tables, &mut gamma);
 
-            final_delta = delta / n as f64;
             // Per-iteration provenance (journal only): the observed-data
-            // log-likelihood and parameter means are O(n·m) extra work, so
-            // they are computed exclusively when someone is recording.
+            // log-likelihood (per row, weighted by its pair count) and
+            // parameter means are extra work, so they are computed
+            // exclusively when someone is recording.
             if panda_obs::journal_enabled() {
-                let mut ll = 0.0;
-                for i in 0..n {
+                let ll = pat.count_weighted(|r| {
                     let mut lm = pi.ln();
                     let mut lu = (1.0 - pi).ln();
-                    for (j, col) in cols.iter().enumerate() {
-                        let slot = CODE_SLOT[col.code(i) as usize];
+                    for j in 0..m {
+                        let slot = CODE_SLOT[pat.code(r, j) as usize];
                         lm += theta_m[j][slot].ln();
                         lu += theta_u[j][slot].ln();
                     }
                     let mx = lm.max(lu);
-                    ll += mx + ((lm - mx).exp() + (lu - mx).exp()).ln();
-                }
+                    mx + ((lm - mx).exp() + (lu - mx).exp()).ln()
+                });
                 let mean = |f: &dyn Fn(usize) -> f64| (0..m).map(f).sum::<f64>() / m.max(1) as f64;
                 panda_obs::event("model.em.iter")
                     .field("model", "panda")
@@ -428,8 +414,7 @@ impl LabelModel for PandaModel {
     fn fit_predict(&mut self, matrix: &LabelMatrix, candidates: Option<&CandidateSet>) -> Vec<f64> {
         let _span = panda_obs::span("model.panda.fit");
         let n = matrix.n_pairs();
-        let cols: Vec<&PackedVotes> = matrix.packed_columns().map(|(_, c)| c).collect();
-        let m = cols.len();
+        let m = matrix.n_lfs();
         // Reset ALL fitted state on every entry: a degenerate matrix must
         // not leave diagnostics or parameters from a previous fit visible
         // as if this fit produced them. The warm start is consumed even on
@@ -457,6 +442,7 @@ impl LabelModel for PandaModel {
             Some(t) => crate::correlation::evidence_discounts(matrix, t),
             None => vec![1.0; m],
         };
+        let pat = VotePatterns::new(matrix);
 
         // Multi-start EM: the class-conditional model is flexible enough
         // to have locally-optimal but *wrong* clusterings (e.g. "cluster =
@@ -473,47 +459,33 @@ impl LabelModel for PandaModel {
             // The rigid single-accuracy model can't "explain away" a
             // strong LF with class-conditional slack, so its optimum is a
             // high-quality warm start that the class-conditional EM then
-            // refines.
+            // refines. It runs on the same vote patterns.
+            let _span = panda_obs::span("model.snorkel.fit");
             let mut sn = crate::SnorkelModel {
                 prior: self.prior,
                 learn_prior: self.learn_prior,
                 max_prior: self.max_prior,
                 ..crate::SnorkelModel::new()
             };
-            sn.fit_predict(matrix, None)
+            sn.fit_patterns(&pat, vec![1.0; m], None)
         };
-        let mut inits: Vec<(&'static str, Vec<f64>)> = vec![
-            // Smoothed majority: robust under junk-heavy candidate sets.
-            (
-                "smoothed",
-                crate::smoothed_majority_init(matrix, self.prior),
-            ),
-            // Hard majority: decisive when LFs are few but precise.
-            (
-                "majority",
-                crate::MajorityVote::new(self.prior).fit_predict(matrix, None),
-            ),
-            // Pessimistic smoothed init: favours small match clusters.
-            (
-                "pessimistic",
-                crate::smoothed_majority_init(matrix, (self.prior * 0.25).max(1e-3)),
-            ),
-            // The Snorkel baseline's converged posterior.
-            ("snorkel", snorkel_init),
-        ];
+        // The shared cold starts (smoothed, majority, pessimistic) plus
+        // the Snorkel baseline's converged posterior, one value per row.
+        let mut inits = pat.cold_starts(self.prior);
+        inits.push(("snorkel", snorkel_init));
         // Interactive refits (the serve loop's `POST .../fit`) seed EM
         // with the previously converged posterior. The informativeness
         // selection below still decides between all starts, so a stale
         // warm start after a large LF edit loses to a cold start instead
         // of trapping the fit in yesterday's optimum.
         if let Some(w) = warm {
-            inits.push(("warm", w));
+            inits.push(("warm", Resp::Pairs(w)));
         }
         let mut best: Option<(f64, &'static str, EmSolution)> = None;
         let mut diagnostics = Vec::new();
         for (init_name, init) in inits {
-            let sol = self.em_run(&cols, &discounts, n, init, init_name);
-            let score = informativeness(&cols, &sol);
+            let sol = self.em_run(&pat, &discounts, init, init_name);
+            let score = informativeness(pat.lf_votes(), &sol);
             if panda_obs::enabled() {
                 panda_obs::counter_add(
                     &format!("model.panda.em_iters.{init_name}"),
@@ -528,7 +500,7 @@ impl LabelModel for PandaModel {
             diagnostics.push(StartDiagnostic {
                 init: init_name,
                 informativeness: score,
-                posteriors: sol.gamma.clone(),
+                posteriors: pat.to_pairs(&sol.gamma),
                 prior: sol.pi,
             });
             if best.as_ref().map(|(b, ..)| score > *b).unwrap_or(true) {
@@ -546,7 +518,7 @@ impl LabelModel for PandaModel {
             (0..m).map(|j| sol.prop_match(j)).collect::<Vec<_>>(),
             (0..m).map(|j| sol.prop_unmatch(j)).collect::<Vec<_>>(),
         );
-        let (mut gamma, pi) = (sol.gamma, sol.pi);
+        let (mut gamma, pi) = (pat.to_pairs(&sol.gamma), sol.pi);
 
         // Enforce the transitivity constraint on the output posteriors
         // (ZeroER projects the estimated probabilistic labels onto the
@@ -568,11 +540,7 @@ impl LabelModel for PandaModel {
             if panda_obs::enabled() {
                 panda_obs::gauge_set("model.transitivity.violation_mass_pre", pre_mass);
             }
-            // Pairs with no LF votes carry no evidence of their own: their
-            // posterior is free to be set by the implication γ_x·γ_y.
-            let movable: Vec<bool> = (0..n)
-                .map(|i| cols.iter().all(|c| c.code(i) == 0))
-                .collect();
+            let (movable, weights) = projection_inputs(&pat);
             let raised = crate::transitivity::transitive_boost(
                 &mut gamma,
                 g,
@@ -581,9 +549,6 @@ impl LabelModel for PandaModel {
             );
             // Residual violations among voted pairs: evidence-weighted
             // half-space projection (more votes = harder to move).
-            let weights: Vec<f64> = (0..n)
-                .map(|i| 0.5 + cols.iter().filter(|c| c.code(i) != 0).count() as f64)
-                .collect();
             let sweeps = crate::transitivity::project_transitivity_weighted(
                 &mut gamma,
                 g,
@@ -906,6 +871,34 @@ mod tests {
         model.set_warm_start(&[0.5; 7]); // wrong length for this matrix
         model.fit_predict(&p.matrix, None);
         assert_eq!(model.start_diagnostics.len(), 4, "bad warm start dropped");
+    }
+
+    /// The projection inputs from per-row counts equal the decoded-column
+    /// formula bit for bit.
+    #[test]
+    fn projection_inputs_equal_the_decoded_column_formula() {
+        let p = plant(
+            900,
+            0.2,
+            &[
+                PlantedLf::symmetric(0.3, 0.8),
+                PlantedLf::symmetric(0.5, 0.7),
+                PlantedLf::symmetric(0.2, 0.9),
+            ],
+            83,
+        );
+        let cols: Vec<Vec<i8>> = p.matrix.columns().map(|(_, c)| c).collect();
+        let movable: Vec<bool> = (0..900).map(|i| cols.iter().all(|c| c[i] == 0)).collect();
+        let weights: Vec<u64> = (0..900)
+            .map(|i| (0.5 + cols.iter().filter(|c| c[i] != 0).count() as f64).to_bits())
+            .collect();
+        assert!(movable.contains(&true) && movable.contains(&false));
+        let (got_movable, got_weights) = projection_inputs(&VotePatterns::new(&p.matrix));
+        assert_eq!(got_movable, movable);
+        assert_eq!(
+            got_weights.iter().map(|w| w.to_bits()).collect::<Vec<_>>(),
+            weights
+        );
     }
 
     #[test]

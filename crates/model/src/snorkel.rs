@@ -13,8 +13,9 @@
 //! single accuracy per LF is exactly what breaks under EM-scale class
 //! imbalance.
 
+use crate::patterns::{Resp, VotePatterns};
 use crate::{logit, sigmoid, LabelModel};
-use panda_lf::{LabelMatrix, PackedVotes, VOTES_PER_WORD};
+use panda_lf::LabelMatrix;
 use panda_table::CandidateSet;
 
 /// Snorkel-style generative labeling model.
@@ -103,113 +104,91 @@ impl SnorkelModel {
 /// without the bound EM has a label-swapped mirror solution (votes meaning
 /// the opposite of what they say) it can drift into. The upper bound keeps
 /// log-odds finite.
-fn clamp_param(p: f64) -> f64 {
+pub(crate) fn clamp_param(p: f64) -> f64 {
     p.clamp(0.5, 0.95)
 }
 
+/// Per-LF E-step terms: 2-bit vote code → discounted log-odds (abstain
+/// and the reserved code add an exact 0).
+pub(crate) fn accuracy_term_tables(acc: &[f64], discounts: &[f64]) -> Vec<[f64; 4]> {
+    acc.iter()
+        .zip(discounts)
+        .map(|(&a, &d)| [0.0, d * (a / (1.0 - a)).ln(), d * ((1.0 - a) / a).ln(), 0.0])
+        .collect()
+}
+
+/// Selection score of a solution: vote-weighted Youden's J, which for a
+/// single accuracy parameter is `2·acc − 1`.
+pub(crate) fn accuracy_score(lf_votes: &[[u64; 2]], acc: &[f64]) -> f64 {
+    lf_votes
+        .iter()
+        .zip(acc)
+        .map(|(&[n_match, n_unmatch], &a)| (n_match + n_unmatch) as f64 * (2.0 * a - 1.0).max(0.0))
+        .sum()
+}
+
 impl SnorkelModel {
-    /// Run EM to convergence from one initial posterior vector.
-    ///
-    /// Iterates the packed vote columns word-at-a-time (32 votes per
-    /// `u64`). Per pair the E-step still adds terms in ascending-LF order
-    /// on top of `logit(pi)` — abstains contribute an exact `+0.0` — so
-    /// posteriors stay bit-identical to the historical per-pair loop and
-    /// to `posterior_for_votes`.
+    /// Run EM to convergence from one start, in vote-pattern space (see
+    /// [`crate::patterns`]). Per row the E-step adds terms in ascending-LF
+    /// order on top of `logit(pi)` — abstains contribute an exact `+0.0` —
+    /// so posteriors equal `posterior_for_votes` bit for bit.
     fn em_run(
         &self,
-        cols: &[&PackedVotes],
+        pat: &VotePatterns,
         discounts: &[f64],
-        n: usize,
-        mut gamma: Vec<f64>,
+        mut gamma: Resp,
         init: &'static str,
-    ) -> (Vec<f64>, Vec<f64>, f64, usize) {
-        let m = cols.len();
+    ) -> (Resp, Vec<f64>, f64, usize) {
+        let m = pat.n_lfs();
+        let n = pat.n_pairs() as f64;
         let mut acc = vec![0.7f64; m];
         let mut pi = self.prior;
         let mut iters = 0usize;
-        let mut lo = vec![0.0f64; n];
         for _iter in 0..self.max_iters {
             iters += 1;
-            // M-step first (consumes the warm start on iteration 0):
-            // α_j = E[#agreements] / E[#votes], Laplace-smoothed. The vote
-            // count comes from the packed popcount; the agreement mass is
-            // a branch-free table-select over the 2-bit codes (abstain
-            // lanes add an exact 0).
-            for (j, col) in cols.iter().enumerate() {
-                let (n_match, n_unmatch, _) = col.counts();
+            // M-step first (consumes the start on iteration 0):
+            // α_j = E[#agreements] / E[#votes], Laplace-smoothed.
+            let mass = pat.mass(&gamma);
+            for (j, (a, &[n_match, n_unmatch])) in acc.iter_mut().zip(pat.lf_votes()).enumerate() {
                 let votes = 2.0 + (n_match + n_unmatch) as f64; // pseudo-counts
-                let mut agree = 1.0;
-                for (w_idx, &word) in col.words().iter().enumerate() {
-                    let start = w_idx * VOTES_PER_WORD;
-                    let lanes = (n - start).min(VOTES_PER_WORD);
-                    let mut w = word;
-                    for &g in &gamma[start..start + lanes] {
-                        agree += [0.0, g, 1.0 - g, 0.0][(w & 0b11) as usize];
-                        w >>= 2;
-                    }
-                }
-                acc[j] = clamp_param(agree / votes);
+                *a = clamp_param((1.0 + pat.agreement(&mass, j)) / votes);
             }
             if self.learn_prior {
-                pi = (gamma.iter().sum::<f64>() / n as f64).clamp(1e-4, self.max_prior);
+                pi = (pat.classes(&mass).0 / n).clamp(1e-4, self.max_prior);
             }
 
-            // E-step, LF-major over packed words with a per-LF 4-entry
-            // term table (code → discounted log-odds; abstain and the
-            // reserved code map to 0).
-            lo.fill(logit(pi));
-            for (j, col) in cols.iter().enumerate() {
-                let a = acc[j];
-                let table = [
-                    0.0,
-                    discounts[j] * (a / (1.0 - a)).ln(),
-                    discounts[j] * ((1.0 - a) / a).ln(),
-                    0.0,
-                ];
-                for (w_idx, &word) in col.words().iter().enumerate() {
-                    let start = w_idx * VOTES_PER_WORD;
-                    let lanes = (n - start).min(VOTES_PER_WORD);
-                    let mut w = word;
-                    for lo_i in &mut lo[start..start + lanes] {
-                        *lo_i += table[(w & 0b11) as usize];
-                        w >>= 2;
-                    }
-                }
-            }
-            let mut delta = 0.0;
-            for (g_i, &lo_i) in gamma.iter_mut().zip(&lo) {
-                let g = sigmoid(lo_i);
-                delta += (g - *g_i).abs();
-                *g_i = g;
-            }
+            // E-step with a per-LF 4-entry term table.
+            let delta = pat.e_step(
+                logit(pi),
+                &accuracy_term_tables(&acc, discounts),
+                &mut gamma,
+            );
 
             // Per-iteration provenance (journal only): the vote-pattern
-            // log-likelihood is O(n·m) extra work, so it is computed
-            // exclusively when someone is recording. Propensity is
-            // class-independent in this model — it contributes a constant
-            // and is omitted.
+            // log-likelihood (per row, weighted by its pair count) is
+            // extra work, so it is computed exclusively when someone is
+            // recording. Propensity is class-independent in this model —
+            // it contributes a constant and is omitted.
             if panda_obs::journal_enabled() {
-                let mut ll = 0.0;
-                for i in 0..n {
+                let ll = pat.count_weighted(|r| {
                     let mut lm = pi.ln();
                     let mut lu = (1.0 - pi).ln();
-                    for (j, col) in cols.iter().enumerate() {
-                        let a = acc[j];
-                        match col.get(i) {
-                            1.. => {
+                    for (j, &a) in acc.iter().enumerate() {
+                        match pat.code(r, j) {
+                            0b01 => {
                                 lm += a.ln();
                                 lu += (1.0 - a).ln();
                             }
-                            0 => {}
-                            _ => {
+                            0b10 => {
                                 lm += (1.0 - a).ln();
                                 lu += a.ln();
                             }
+                            _ => {}
                         }
                     }
                     let mx = lm.max(lu);
-                    ll += mx + ((lm - mx).exp() + (lu - mx).exp()).ln();
-                }
+                    mx + ((lm - mx).exp() + (lu - mx).exp()).ln()
+                });
                 let mean_acc = acc.iter().sum::<f64>() / m.max(1) as f64;
                 panda_obs::event("model.em.iter")
                     .field("model", "snorkel")
@@ -220,15 +199,66 @@ impl SnorkelModel {
                     // both class-conditional roles in the shared schema.
                     .field("alpha_m", mean_acc)
                     .field("alpha_u", mean_acc)
-                    .field("delta", delta / n as f64)
+                    .field("delta", delta)
                     .field("pi", pi)
                     .emit();
             }
-            if delta / n as f64 <= self.tol {
+            if delta <= self.tol {
                 break;
             }
         }
         (gamma, acc, pi, iters)
+    }
+
+    /// Multi-start EM on `pat` with the given evidence discounts, leaving
+    /// the fitted parameters on `self` and returning the chosen solution's
+    /// responsibilities. `warm` (one value per pair) adds a fifth start.
+    /// Panda's fit seeds one of its starts with this on its own patterns.
+    pub(crate) fn fit_patterns(
+        &mut self,
+        pat: &VotePatterns,
+        discounts: Vec<f64>,
+        warm: Option<Vec<f64>>,
+    ) -> Resp {
+        let n = pat.n_pairs() as f64;
+        // Propensity is class-independent in this model, so its MLE is
+        // just the observed vote rate (it cancels in the posterior and is
+        // reported for the stats panel only).
+        let prop: Vec<f64> = pat
+            .lf_votes()
+            .iter()
+            .map(|&[n_match, n_unmatch]| ((n_match + n_unmatch) as f64 / n).clamp(1e-6, 1.0))
+            .collect();
+        // Multi-start EM with the same cold starts and selection rule the
+        // Panda model uses (minus the snorkel-seeded one, obviously):
+        // baseline robustness should not be the thing E1 measures.
+        let mut inits = pat.cold_starts(self.prior);
+        // Interactive refits seed EM with the previous posterior; the
+        // selection rule below still decides, so a stale warm start loses
+        // to a better cold start instead of degrading the fit.
+        if let Some(w) = warm {
+            inits.push(("warm", Resp::Pairs(w)));
+        }
+        let mut best: Option<(f64, Resp, Vec<f64>, f64)> = None;
+        for (init_name, init) in inits {
+            let (gamma, run_acc, run_pi, iters) = self.em_run(pat, &discounts, init, init_name);
+            if panda_obs::enabled() {
+                panda_obs::counter_add(
+                    &format!("model.snorkel.em_iters.{init_name}"),
+                    iters as u64,
+                );
+            }
+            let score = accuracy_score(pat.lf_votes(), &run_acc);
+            if best.as_ref().map(|(b, ..)| score > *b).unwrap_or(true) {
+                best = Some((score, gamma, run_acc, run_pi));
+            }
+        }
+        let (_, gamma, acc, pi) = best.expect("at least one init");
+        self.accuracies = acc;
+        self.propensities = prop;
+        self.fitted_prior = pi;
+        self.fitted_discounts = discounts;
+        gamma
     }
 }
 
@@ -240,8 +270,7 @@ impl LabelModel for SnorkelModel {
     fn fit_predict(&mut self, matrix: &LabelMatrix, _: Option<&CandidateSet>) -> Vec<f64> {
         let _span = panda_obs::span("model.snorkel.fit");
         let n = matrix.n_pairs();
-        let cols: Vec<&PackedVotes> = matrix.packed_columns().map(|(_, c)| c).collect();
-        let m = cols.len();
+        let m = matrix.n_lfs();
         // Reset ALL fitted state on every entry (same audit as
         // `PandaModel::fit_predict`): a degenerate matrix must not leave a
         // previous fit's parameters visible. The warm start is consumed
@@ -255,77 +284,13 @@ impl LabelModel for SnorkelModel {
         if n == 0 || m == 0 {
             return vec![self.prior; n];
         }
-
-        // Propensity is class-independent in this model, so its MLE is
-        // just the observed vote rate (it cancels in the posterior and is
-        // reported for the stats panel only).
-        let mut acc = vec![0.7f64; m];
-        let prop: Vec<f64> = cols
-            .iter()
-            .map(|c| {
-                let (n_match, n_unmatch, _) = c.counts();
-                ((n_match + n_unmatch) as f64 / n as f64).clamp(1e-6, 1.0)
-            })
-            .collect();
         let discounts: Vec<f64> = match self.correlation_threshold {
             Some(t) => crate::correlation::evidence_discounts(matrix, t),
             None => vec![1.0; m],
         };
-        // Multi-start EM with the same warm starts and selection rule the
-        // Panda model uses (minus the snorkel-seeded one, obviously):
-        // baseline robustness should not be the thing E1 measures.
-        let mut inits: Vec<(&'static str, Vec<f64>)> = vec![
-            (
-                "smoothed",
-                crate::smoothed_majority_init(matrix, self.prior),
-            ),
-            (
-                "majority",
-                crate::MajorityVote::new(self.prior).fit_predict(matrix, None),
-            ),
-            (
-                "pessimistic",
-                crate::smoothed_majority_init(matrix, (self.prior * 0.25).max(1e-3)),
-            ),
-        ];
-        // Interactive refits seed EM with the previous posterior; the
-        // selection rule below still decides, so a stale warm start loses
-        // to a better cold start instead of degrading the fit.
-        if let Some(w) = warm {
-            inits.push(("warm", w));
-        }
-        let mut best: Option<(f64, Vec<f64>, Vec<f64>, f64)> = None;
-        for (init_name, init) in inits {
-            let (gamma, run_acc, run_pi, iters) =
-                self.em_run(&cols, &discounts, n, init, init_name);
-            if panda_obs::enabled() {
-                panda_obs::counter_add(
-                    &format!("model.snorkel.em_iters.{init_name}"),
-                    iters as u64,
-                );
-            }
-            // Informativeness of the solution: vote-weighted Youden's J,
-            // which for a single accuracy parameter is 2·acc − 1.
-            let score: f64 = cols
-                .iter()
-                .enumerate()
-                .map(|(j, col)| {
-                    let (n_match, n_unmatch, _) = col.counts();
-                    (n_match + n_unmatch) as f64 * (2.0 * run_acc[j] - 1.0).max(0.0)
-                })
-                .sum();
-            if best.as_ref().map(|(b, ..)| score > *b).unwrap_or(true) {
-                best = Some((score, gamma, run_acc, run_pi));
-            }
-        }
-        let (_, gamma, best_acc, pi) = best.expect("at least one init");
-        acc = best_acc;
-
-        self.accuracies = acc;
-        self.propensities = prop;
-        self.fitted_prior = pi;
-        self.fitted_discounts = discounts;
-        gamma
+        let pat = VotePatterns::new(matrix);
+        let gamma = self.fit_patterns(&pat, discounts, warm);
+        pat.to_pairs(&gamma)
     }
 
     fn set_warm_start(&mut self, previous: &[f64]) {

@@ -83,7 +83,26 @@ pub fn plant(n: usize, pi: f64, lfs: &[PlantedLf], seed: u64) -> Planted {
         votes.push(col);
     }
 
-    // Dummy tables: pair i = (left i, right i).
+    let (tables, candidates) = diagonal(n);
+    let matrix = apply_columns(votes, &tables, &candidates);
+    Planted {
+        truth,
+        tables,
+        candidates,
+        matrix,
+    }
+}
+
+/// A label matrix with the given `+1/0/−1` columns (`planted_<j>`), over
+/// the pairs `(i, i)` of `n` dummy records.
+pub fn matrix_from_columns(columns: &[Vec<i8>]) -> LabelMatrix {
+    let n = columns.first().map_or(0, Vec::len);
+    let (tables, candidates) = diagonal(n);
+    apply_columns(columns.to_vec(), &tables, &candidates)
+}
+
+/// Dummy tables of `n` records each and the candidates `(i, i)`.
+fn diagonal(n: usize) -> (TablePair, CandidateSet) {
     let schema = Schema::of_text(&["k"]);
     let mut left = Table::new("l", schema.clone());
     let mut right = Table::new("r", schema);
@@ -93,23 +112,25 @@ pub fn plant(n: usize, pi: f64, lfs: &[PlantedLf], seed: u64) -> Planted {
     }
     let tables = TablePair::new(left, right);
     let candidates = CandidateSet::from_pairs((0..n as u32).map(|i| CandidatePair::new(i, i)));
+    (tables, candidates)
+}
 
+/// Apply one lookup LF per column: pair `(i, i)` gets `column[i]`.
+fn apply_columns(
+    columns: Vec<Vec<i8>>,
+    tables: &TablePair,
+    candidates: &CandidateSet,
+) -> LabelMatrix {
     let mut reg = LfRegistry::new();
-    for (j, col) in votes.into_iter().enumerate() {
+    for (j, col) in columns.into_iter().enumerate() {
         reg.upsert(Arc::new(ClosureLf::new(format!("planted_{j}"), move |p| {
             panda_lf::Label::from_i8(col[p.pair.left.0 as usize])
         })));
     }
     let mut matrix = LabelMatrix::new();
-    let report = matrix.apply(&reg, &tables, &candidates);
+    let report = matrix.apply(&reg, tables, candidates);
     assert!(report.failed.is_empty());
-
-    Planted {
-        truth,
-        tables,
-        candidates,
-        matrix,
-    }
+    matrix
 }
 
 /// F1 of thresholded posteriors against planted truth.

@@ -1,9 +1,20 @@
 //! Bit-identity oracle for LF application: the label matrix, the fitted
 //! posteriors and the per-pair `score_pair` path of a session with the
 //! curated plus auto-generated LFs, on every family of the extended suite,
-//! pinned to FNV-1a digests. The constants were captured before LFs were
-//! applied through per-record prepared state; any change to a vote or a
-//! posterior bit moves a digest.
+//! pinned to FNV-1a digests. Any change to a vote or a posterior bit moves
+//! a digest.
+//!
+//! The matrix digests were captured before LFs were applied through
+//! per-record prepared state. The posterior and `score_pair` digests were
+//! re-captured once, when EM moved to vote-pattern space with exact
+//! fixed-point sums: a float sum depends on its order, and per-row sums
+//! add in another order than the old pair-order `f64` sums, so the
+//! posterior bits moved by at most 6e-15 on these inputs with no pair
+//! crossing 0.5. `panda-model`'s pair-space oracle test
+//! `exact_sums_move_posteriors_by_under_1e_12_and_flip_no_decision`
+//! replays these sessions with the old `f64` sums, reproduces the old
+//! posterior digests bit for bit and holds the shipped fit within 1e-12
+//! of them.
 
 use panda::datasets::{generate, DatasetFamily, GeneratorConfig};
 use panda::prelude::*;
@@ -14,44 +25,44 @@ const PINNED: [(DatasetFamily, u64, u64, u64); 7] = [
     (
         DatasetFamily::AbtBuy,
         0x605c4c9bea459059,
-        0xe9772ff9172a89cb,
-        0x1abb6ae900c9a05d,
+        0x4ba2a2f5baff1918,
+        0x1983dd7bd91cf2fe,
     ),
     (
         DatasetFamily::AmazonGoogle,
         0x3c72d946f515d586,
-        0x128f9ed2ad4984f5,
-        0x0babd5b3daf3a7dd,
+        0x75312b132ec7fb54,
+        0x74dc5a22189a12da,
     ),
     (
         DatasetFamily::WalmartAmazon,
         0x31b07722b6d0c9b6,
-        0x0780028fb724c809,
-        0xb7bbe52b8edf358e,
+        0xcb96a4c2c8a95345,
+        0xc4e485402695c1d0,
     ),
     (
         DatasetFamily::AbtBuyDirty,
         0x7101b891ddf45d76,
-        0xfbe625b18f850a90,
-        0x866cd710b0a0952a,
+        0x45366f1838f446c9,
+        0x63e3a583fefa1497,
     ),
     (
         DatasetFamily::DblpAcm,
         0x6310aed293585e25,
-        0xaa193e001f887159,
-        0x7a2ccb58ee04c467,
+        0x7f7e9b72f62e59f3,
+        0x81fbddbccf14d5ab,
     ),
     (
         DatasetFamily::DblpScholar,
         0x9a185844c26aac95,
-        0xd740cb19a7b5fe7d,
-        0x42cdd7d885ed6e63,
+        0x6f2e6aba394335ee,
+        0xe4ddcfe1a28d9ace,
     ),
     (
         DatasetFamily::FodorsZagats,
         0x5f155c0d50b896df,
-        0x045074b73f3b42e6,
-        0x6b601d0b15de9c61,
+        0x8a4789a18d578373,
+        0xab2fa1f5934b4519,
     ),
 ];
 
