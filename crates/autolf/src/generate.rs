@@ -1,6 +1,6 @@
 //! The end-to-end auto-LF generator.
 
-use crate::estimate::estimate_precision;
+use crate::estimate::estimate_thresholds;
 use crate::select::{greedy_select, SelectionInput};
 use panda_lf::lf::LfProvenance;
 use panda_lf::SimilarityLf;
@@ -285,8 +285,8 @@ pub fn generate_auto_lfs(
         // subject to precision. `best` tracks the cell's strongest
         // estimate across the grid for the prune decision record.
         let mut best = (0.0f64, 0usize);
-        for &theta in &cfg.thresholds {
-            let est = estimate_precision(&scored, candidates, theta);
+        let estimates = estimate_thresholds(&scored, candidates, &cfg.thresholds);
+        for (&theta, est) in cfg.thresholds.iter().zip(estimates) {
             if est.est_precision > best.0 {
                 best = (est.est_precision, est.est_support);
             }

@@ -30,6 +30,6 @@ pub mod estimate;
 pub mod generate;
 pub mod select;
 
-pub use estimate::{estimate_precision, PrecisionEstimate};
+pub use estimate::{estimate_thresholds, PrecisionEstimate};
 pub use generate::{generate_auto_lfs, AutoLfConfig, GeneratedLf};
 pub use select::greedy_select;

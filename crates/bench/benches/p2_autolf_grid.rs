@@ -4,53 +4,25 @@
 //! threshold search, and greedy selection.
 //!
 //! Throughput is reported in candidate pairs/sec (each pair is scored once
-//! per grid cell; the cell count is fixed by `default_config_grid`).
-//! `BENCH_autolf.json` at the repo root records the before/after medians
-//! for the parallel-execution + token-cache rewiring.
+//! per grid cell; the cell count is fixed by `default_config_grid`). The
+//! cases are `panda_bench::autolf`'s: abt-buy 150, walmart-amazon 150 with
+//! its attribute pairs, and abt-buy 300, an `ide_loop` session's input.
+//! `BENCH_autolf.json` at the repo root records the before/after medians;
+//! `bench_gate` holds its lines through the same workloads.
 //!
-//! Run: `cargo bench -p panda-bench --bench p2_autolf_grid`
+//! Run: `PANDA_WORKERS=1 cargo bench -p panda-bench --bench p2_autolf_grid`
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use panda_autolf::{generate_auto_lfs, AutoLfConfig};
-use panda_datasets::{generate, DatasetFamily, GeneratorConfig};
-use panda_embed::{Blocker, EmbeddingLshBlocker};
-use std::hint::black_box;
+use panda_bench::autolf::cases;
 
 fn bench_autolf_grid(c: &mut Criterion) {
-    let tables = generate(
-        DatasetFamily::AbtBuy,
-        &GeneratorConfig::new(77).with_entities(150),
-    );
-    let cands = EmbeddingLshBlocker::new(7).candidates(&tables);
-    let cfg = AutoLfConfig::default();
-
+    println!("workers: {}", panda_exec::worker_count());
     let mut g = c.benchmark_group("autolf_grid");
     g.sample_size(10);
-    g.throughput(Throughput::Elements(cands.len() as u64));
-    g.bench_function(format!("abt_buy/150e_{}cands", cands.len()), |b| {
-        b.iter(|| black_box(generate_auto_lfs(&tables, &cands, &cfg)).len());
-    });
-
-    // Schema-mismatched variant: attribute pairs double the scored axes.
-    let wa = generate(
-        DatasetFamily::WalmartAmazon,
-        &GeneratorConfig::new(55).with_entities(150),
-    );
-    let wa_cands = EmbeddingLshBlocker::new(55).candidates(&wa);
-    let wa_cfg = AutoLfConfig {
-        attribute_pairs: vec![
-            ("title".into(), "name".into()),
-            ("modelno".into(), "model".into()),
-        ],
-        ..AutoLfConfig::default()
-    };
-    g.throughput(Throughput::Elements(wa_cands.len() as u64));
-    g.bench_function(
-        format!("walmart_amazon/150e_{}cands", wa_cands.len()),
-        |b| {
-            b.iter(|| black_box(generate_auto_lfs(&wa, &wa_cands, &wa_cfg)).len());
-        },
-    );
+    for case in cases() {
+        g.throughput(Throughput::Elements(case.pairs() as u64));
+        g.bench_function(&case.name, |b| b.iter_custom(|iters| case.time(iters)));
+    }
     g.finish();
 }
 

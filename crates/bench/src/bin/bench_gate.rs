@@ -3,15 +3,13 @@
 //! `BENCH_blocking.json` / `BENCH_serve.json` baselines (see
 //! `.github/workflows/ci.yml`).
 //!
-//! Re-runs the two `p2_autolf_grid` workloads with telemetry enabled and
-//! compares the `autolf.generate` span mean against the committed
-//! `after.ns_per_iter` medians. A case fails when its mean exceeds
+//! Times the `p2_autolf_grid`, `p3_em_fit`, `p4_lf_apply` and
+//! `p5_blocking` workloads, each case on its own input and on one compute
+//! worker, and holds them against their `BENCH_autolf.json`,
+//! `BENCH_emfit.json`, `BENCH_lfapply.json` and `BENCH_blocking.json`
+//! `after.ns_per_iter` lines. A case fails when its mean exceeds
 //! `baseline × 1.25 × PANDA_BENCH_GATE_SLACK` (slack defaults to 1.0;
-//! CI sets it higher to absorb shared-runner noise). It then times the
-//! `p3_em_fit`, `p4_lf_apply` and `p5_blocking` workloads, each case on
-//! its own input and on one compute worker, and holds them the same way
-//! against their `BENCH_emfit.json`, `BENCH_lfapply.json` and
-//! `BENCH_blocking.json` lines. Finally it boots an
+//! CI sets it higher to absorb shared-runner noise). It then boots an
 //! in-process `panda-serve` and drives a short keep-alive `/healthz`
 //! burst: measured throughput must stay above the committed `healthz`
 //! number divided by the same limit factor (throughput gates divide
@@ -20,17 +18,14 @@
 //! with a follower subscribed over the WAL-shipping channel — and
 //! requires the replicated run to hold `REPL_OVERHEAD_LIMIT` of the
 //! solo throughput. Exits nonzero on any failure and
-//! writes one `bench_gate_<case>.metrics.json` snapshot per case to
-//! `target/experiments/` for artifact upload.
+//! writes one `bench_gate_<file>.metrics.json` verdict table per
+//! baseline file, plus the auto-LF grid runs' telemetry snapshot
+//! (`bench_gate_autolf_telemetry.metrics.json`), to `target/experiments/`
+//! for artifact upload.
 //!
 //! Run: `cargo run --release -p panda-bench --bin bench_gate`
 
-use panda_autolf::{generate_auto_lfs, AutoLfConfig};
-use panda_datasets::{generate, DatasetFamily, GeneratorConfig};
-use panda_embed::{Blocker, EmbeddingLshBlocker};
-use panda_table::{CandidateSet, TablePair};
 use serde::Value;
-use std::hint::black_box;
 use std::io::{Read, Write};
 use std::process::ExitCode;
 use std::time::Duration;
@@ -54,52 +49,10 @@ const OBS_OVERHEAD_LIMIT: f64 = 1.25;
 /// synchronous shipping or double-fsync still lands well past it.
 const REPL_OVERHEAD_LIMIT: f64 = 2.0;
 
-struct Case {
-    /// Key in `BENCH_autolf.json` (`cases[].case` is `"<id>/..."`).
-    id: &'static str,
-    tables: TablePair,
-    cands: CandidateSet,
-    cfg: AutoLfConfig,
-}
-
-/// The same two workloads as `benches/p2_autolf_grid.rs`.
-fn cases() -> Vec<Case> {
-    let abt = generate(
-        DatasetFamily::AbtBuy,
-        &GeneratorConfig::new(77).with_entities(150),
-    );
-    let abt_cands = EmbeddingLshBlocker::new(7).candidates(&abt);
-    let wa = generate(
-        DatasetFamily::WalmartAmazon,
-        &GeneratorConfig::new(55).with_entities(150),
-    );
-    let wa_cands = EmbeddingLshBlocker::new(55).candidates(&wa);
-    vec![
-        Case {
-            id: "abt_buy",
-            tables: abt,
-            cands: abt_cands,
-            cfg: AutoLfConfig::default(),
-        },
-        Case {
-            id: "walmart_amazon",
-            tables: wa,
-            cands: wa_cands,
-            cfg: AutoLfConfig {
-                attribute_pairs: vec![
-                    ("title".into(), "name".into()),
-                    ("modelno".into(), "model".into()),
-                ],
-                ..AutoLfConfig::default()
-            },
-        },
-    ]
-}
-
 /// `(case, after.ns_per_iter)` for every case of the committed baseline
-/// file `file` (at the repository root) whose name starts with `prefix` —
-/// the one loader behind every timed line this gate holds.
-fn load_after_ns(file: &str, prefix: &str) -> Result<Vec<(String, f64)>, String> {
+/// file `file` (at the repository root) — the one loader behind every
+/// timed line this gate holds.
+fn load_after_ns(file: &str) -> Result<Vec<(String, f64)>, String> {
     let path = format!("{}/../../{file}", env!("CARGO_MANIFEST_DIR"));
     let text = std::fs::read_to_string(&path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let doc = serde_json::parse_value(&text).map_err(|e| format!("bad JSON in {path}: {e}"))?;
@@ -111,9 +64,6 @@ fn load_after_ns(file: &str, prefix: &str) -> Result<Vec<(String, f64)>, String>
         let Some(Value::Str(name)) = c.get_field("case") else {
             return Err(format!("{path}: case entry without \"case\" string"));
         };
-        if !name.starts_with(prefix) {
-            continue;
-        }
         let ns = c
             .get_field("after")
             .and_then(|a| a.get_field("ns_per_iter"))
@@ -127,7 +77,7 @@ fn load_after_ns(file: &str, prefix: &str) -> Result<Vec<(String, f64)>, String>
         out.push((name.clone(), ns));
     }
     if out.is_empty() {
-        return Err(format!("{path}: no {prefix:?} cases"));
+        return Err(format!("{path}: no cases"));
     }
     Ok(out)
 }
@@ -144,7 +94,7 @@ fn hold_one_worker_lines(
     workloads: &[Workload<'_>],
     limit_factor: f64,
 ) -> bool {
-    let baselines = match load_after_ns(file, "") {
+    let baselines = match load_after_ns(file) {
         Ok(baselines) => baselines,
         Err(e) => {
             eprintln!("bench_gate: {name} gate: {e}");
@@ -491,71 +441,40 @@ fn gate_slack() -> f64 {
 }
 
 fn main() -> ExitCode {
-    // "abt_buy/150e_2616cands" → "abt_buy".
-    let baselines: Vec<(String, f64)> = match load_after_ns("BENCH_autolf.json", "") {
-        Ok(b) => b
-            .into_iter()
-            .map(|(case, ns)| (case.split('/').next().unwrap_or(&case).to_string(), ns))
-            .collect(),
-        Err(e) => {
-            eprintln!("bench_gate: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
     let slack = gate_slack();
     let limit_factor = THRESHOLD * slack;
     println!("bench_gate: threshold {THRESHOLD}x, slack {slack}x (PANDA_BENCH_GATE_SLACK)");
 
+    // Auto-LF grid, EM-fit, LF-application and blocking gates: the grid
+    // runs, the planted and refit label-model fits, full apply,
+    // incremental add_column and the deploy and load blocking calls must
+    // hold the BENCH_autolf.json, BENCH_emfit.json, BENCH_lfapply.json
+    // and BENCH_blocking.json lines, each timed on its own input. With
+    // telemetry on, so the lines also bound the spans' cost.
+    panda_bench::init_obs();
     let mut failed = false;
-    for case in cases() {
-        let Some((_, baseline_ns)) = baselines.iter().find(|(id, _)| id == case.id) else {
-            eprintln!("bench_gate: no baseline for case {:?}", case.id);
-            failed = true;
-            continue;
-        };
-        // Warm up once (page cache, lazy corpus stats) outside telemetry,
-        // then reset so the measured span aggregate covers exactly ITERS
-        // calls. init_obs() resets the process-global registry between
-        // cases — each snapshot is per-case.
-        black_box(generate_auto_lfs(&case.tables, &case.cands, &case.cfg).len());
-        panda_bench::init_obs();
-        for _ in 0..ITERS {
-            black_box(generate_auto_lfs(&case.tables, &case.cands, &case.cfg).len());
-        }
-        let snap = panda_obs::snapshot();
-        let Some(stats) = snap.spans.get("autolf.generate") else {
-            eprintln!("bench_gate: {}: no autolf.generate span recorded", case.id);
-            failed = true;
-            continue;
-        };
-        let mean_ns = stats.total_ns as f64 / stats.count as f64;
-        let limit_ns = baseline_ns * limit_factor;
-        let ratio = mean_ns / baseline_ns;
-        let verdict = if mean_ns <= limit_ns { "PASS" } else { "FAIL" };
-        println!(
-            "  {verdict} {:<16} mean {:>12.0} ns/iter  baseline {:>12.0}  ratio {:.2} (limit {:.2})",
-            case.id, mean_ns, baseline_ns, ratio, limit_factor
+    {
+        use panda_bench::{autolf, blocking, emfit, lfapply};
+        let [abt, walmart, ide] = autolf::cases();
+        failed |= !hold_one_worker_lines(
+            "BENCH_autolf.json",
+            "autolf",
+            &[
+                (&abt.name, &|n| abt.time(n)),
+                (&walmart.name, &|n| walmart.time(n)),
+                (&ide.name, &|n| ide.time(n)),
+            ],
+            limit_factor,
         );
-        if mean_ns > limit_ns {
-            failed = true;
-        }
-        let mpath =
-            panda_bench::experiments_dir().join(format!("bench_gate_{}.metrics.json", case.id));
-        if let Err(e) = std::fs::write(&mpath, snap.to_json()) {
+        // The grid runs' span and counter telemetry: the registry was
+        // reset just before them, and nothing else has run since.
+        let mpath = panda_bench::experiments_dir().join("bench_gate_autolf_telemetry.metrics.json");
+        if let Err(e) = std::fs::write(&mpath, panda_obs::snapshot().to_json()) {
             eprintln!("bench_gate: cannot write {}: {e}", mpath.display());
             failed = true;
         } else {
             println!("       metrics → {}", mpath.display());
         }
-    }
-
-    // EM-fit, LF-application and blocking gates: the planted and refit
-    // label-model fits, full apply, incremental add_column and the deploy
-    // and load blocking calls must hold the BENCH_emfit.json,
-    // BENCH_lfapply.json and BENCH_blocking.json lines, each timed on its
-    // own input.
-    {
-        use panda_bench::{blocking, emfit, lfapply};
         let [panda, snorkel, refit] = emfit::cases();
         failed |= !hold_one_worker_lines(
             "BENCH_emfit.json",

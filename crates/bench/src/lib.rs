@@ -1,9 +1,11 @@
 //! Shared infrastructure for the experiment binaries (one binary per
 //! table/figure reproduced — see DESIGN.md §4 and EXPERIMENTS.md).
 
-use panda_datasets::DatasetFamily;
+use panda_datasets::{generate, DatasetFamily, GeneratorConfig};
+use panda_embed::{Blocker, EmbeddingLshBlocker};
 use panda_lf::builders::ExtractionPolicy;
 use panda_lf::{BoxedLf, ExtractionLf, NumericToleranceLf, SimilarityLf};
+use panda_table::{CandidateSet, TablePair};
 use panda_text::preprocess::standard_pipeline;
 use panda_text::{Measure, Preprocess, SimilarityConfig, Tokenizer, Weighting};
 use std::path::PathBuf;
@@ -292,11 +294,97 @@ pub fn e1_f1(family: DatasetFamily, seed: u64) -> [f64; 4] {
     .map(|posteriors| metrics_at_half(&posteriors, &gold).f1)
 }
 
+/// `family` at `entities` from `seed`, blocked as a session with that
+/// seed blocks it (`SessionConfig::default()`: cosine floor 0.25, 32
+/// candidates per record).
+fn blocked(family: DatasetFamily, entities: usize, seed: u64) -> (TablePair, CandidateSet) {
+    let tables = generate(family, &GeneratorConfig::new(seed).with_entities(entities));
+    let mut blocker = EmbeddingLshBlocker::new(seed);
+    blocker.max_per_record = Some(32);
+    let cands = blocker.candidates(&tables);
+    (tables, cands)
+}
+
+/// The `BENCH_autolf.json` workloads, shared by `benches/p2_autolf_grid.rs`
+/// and `bench_gate` so both time exactly the same calls.
+pub mod autolf {
+    use panda_autolf::{generate_auto_lfs, AutoLfConfig};
+    use panda_datasets::{generate, DatasetFamily, GeneratorConfig};
+    use panda_embed::{Blocker, EmbeddingLshBlocker};
+    use panda_table::{CandidateSet, TablePair};
+    use std::hint::black_box;
+    use std::time::{Duration, Instant};
+
+    /// One timed `generate_auto_lfs` workload.
+    pub struct Case {
+        /// Case key in `BENCH_autolf.json` (`<task>/<entities>e_<n>cands`).
+        pub name: String,
+        tables: TablePair,
+        cands: CandidateSet,
+        cfg: AutoLfConfig,
+    }
+
+    fn case(task: &str, entities: usize, tables: TablePair, cands: CandidateSet) -> Case {
+        Case {
+            name: format!("{task}/{entities}e_{}cands", cands.len()),
+            tables,
+            cands,
+            cfg: AutoLfConfig::default(),
+        }
+    }
+
+    /// Every case:
+    ///
+    /// * abt-buy 150 and walmart-amazon 150 (schema-mismatched: its
+    ///   attribute pairs double the scored axes), blocked with default
+    ///   blocker settings;
+    /// * abt-buy 300 blocked as a session blocks it — an `ide_loop`
+    ///   session's input, whose grid is most of its set-up.
+    pub fn cases() -> [Case; 3] {
+        let abt = generate(
+            DatasetFamily::AbtBuy,
+            &GeneratorConfig::new(77).with_entities(150),
+        );
+        let abt_cands = EmbeddingLshBlocker::new(7).candidates(&abt);
+        let wa = generate(
+            DatasetFamily::WalmartAmazon,
+            &GeneratorConfig::new(55).with_entities(150),
+        );
+        let wa_cands = EmbeddingLshBlocker::new(55).candidates(&wa);
+        let (ide, ide_cands) = super::blocked(DatasetFamily::AbtBuy, 300, 3);
+        let mut walmart = case("walmart_amazon", 150, wa, wa_cands);
+        walmart.cfg.attribute_pairs = vec![
+            ("title".into(), "name".into()),
+            ("modelno".into(), "model".into()),
+        ];
+        [
+            case("abt_buy", 150, abt, abt_cands),
+            walmart,
+            case("abt_buy", 300, ide, ide_cands),
+        ]
+    }
+
+    impl Case {
+        /// Candidate pairs each grid cell scores.
+        pub fn pairs(&self) -> usize {
+            self.cands.len()
+        }
+
+        /// Wall time of `iters` runs of `generate_auto_lfs`.
+        pub fn time(&self, iters: u64) -> Duration {
+            let started = Instant::now();
+            for _ in 0..iters {
+                black_box(generate_auto_lfs(&self.tables, &self.cands, &self.cfg));
+            }
+            started.elapsed()
+        }
+    }
+}
+
 /// The `BENCH_lfapply.json` workloads, shared by `benches/p4_lf_apply.rs`
 /// and `bench_gate` so both time exactly the same calls.
 pub mod lfapply {
-    use panda_datasets::{generate, DatasetFamily, GeneratorConfig};
-    use panda_embed::{Blocker, EmbeddingLshBlocker};
+    use panda_datasets::DatasetFamily;
     use panda_lf::{BoxedLf, LabelMatrix, LfRegistry};
     use panda_table::{CandidateSet, TablePair};
     use std::hint::black_box;
@@ -311,18 +399,10 @@ pub mod lfapply {
         lfs: Vec<BoxedLf>,
     }
 
-    fn blocked(family: DatasetFamily, entities: usize, seed: u64) -> (TablePair, CandidateSet) {
-        let tables = generate(family, &GeneratorConfig::new(seed).with_entities(entities));
-        let mut blocker = EmbeddingLshBlocker::new(seed);
-        blocker.max_per_record = Some(32);
-        let cands = blocker.candidates(&tables);
-        (tables, cands)
-    }
-
     /// `LabelMatrix::apply` of the dblp-scholar curated LFs on a fresh
     /// 200-entity batch: the deployment phase's full apply.
     pub fn apply_case() -> Case {
-        let (tables, cands) = blocked(DatasetFamily::DblpScholar, 200, 11);
+        let (tables, cands) = super::blocked(DatasetFamily::DblpScholar, 200, 11);
         Case {
             name: format!("apply/dblp_scholar_curated/200e_{}cands", cands.len()),
             tables,
@@ -334,7 +414,7 @@ pub mod lfapply {
     /// `LabelMatrix::add_column` of the curated `name_overlap` LF on
     /// abt-buy 300: the IDE's incremental path for one edited LF.
     pub fn add_column_case() -> Case {
-        let (tables, cands) = blocked(DatasetFamily::AbtBuy, 300, 3);
+        let (tables, cands) = super::blocked(DatasetFamily::AbtBuy, 300, 3);
         let name_overlap = super::curated_lfs(DatasetFamily::AbtBuy)
             .into_iter()
             .find(|lf| lf.name() == "name_overlap")

@@ -192,8 +192,8 @@ impl RecordKernel for SimilarityLf {
         let (Some(a), Some(b)) = (left, right) else {
             return Label::Abstain;
         };
-        // classify_texts == scoring then comparing, but edit-distance
-        // measures get the banded DP instead of the full one.
+        // classify_texts == scoring then comparing; Levenshtein skips the
+        // kernel when the length gap alone already votes -1.
         match self.config.classify_texts(a, b, self.upper, self.lower) {
             std::cmp::Ordering::Greater => Label::Match,
             std::cmp::Ordering::Less => Label::NonMatch,

@@ -107,7 +107,7 @@ pub enum PreparedText {
     Hashes(Vec<u64>),
     /// Levenshtein and Jaro-Winkler: the preprocessed string's chars.
     Chars(Vec<char>),
-    /// Monge-Elkan: each token's chars.
+    /// Monge-Elkan: the tokens, concatenated.
     Tokens(sim::TokenChars),
 }
 
@@ -202,11 +202,11 @@ impl SimilarityConfig {
     /// of similarity LFs: `Greater` when `score_texts(a, b) > upper`,
     /// `Less` when it is `< lower`, `Equal` (abstain) otherwise.
     ///
-    /// Exactly equivalent to scoring with [`SimilarityConfig::score_texts`]
-    /// and comparing — same float expressions, same NaN behaviour — but
-    /// [`Measure::Levenshtein`] is decided through the banded DP: only the
-    /// edit distances that could still keep the score at or above `lower`
-    /// are explored, and a length gap beyond that band exits in O(1).
+    /// Scores and compares, with one O(1) exit: a Levenshtein distance is
+    /// at least the length gap, and the score (computed by the same float
+    /// expression) does not rise with the distance. So when the score at
+    /// the gap already votes `Less` — below `lower`, not above `upper` —
+    /// every achievable score does, and the kernel does not run.
     pub fn classify_texts(
         &self,
         a: &PreparedText,
@@ -215,7 +215,7 @@ impl SimilarityConfig {
         lower: f64,
     ) -> std::cmp::Ordering {
         use std::cmp::Ordering;
-        let cmp = |s: f64| {
+        let vote = |s: f64| {
             if s > upper {
                 Ordering::Greater
             } else if s < lower {
@@ -224,63 +224,34 @@ impl SimilarityConfig {
                 Ordering::Equal
             }
         };
-        let (Measure::Levenshtein, PreparedText::Chars(ca), PreparedText::Chars(cb)) =
+        if let (Measure::Levenshtein, PreparedText::Chars(ca), PreparedText::Chars(cb)) =
             (self.measure, a, b)
-        else {
-            return cmp(self.score_texts(a, b));
-        };
-        let (la, lb) = (ca.len(), cb.len());
-        if la == 0 && lb == 0 {
-            return cmp(1.0);
-        }
-        if lower.is_nan() {
-            // `s < NaN` never holds, so only the upper bound matters.
-            return if sim::levenshtein_similarity_exceeds_chars(ca, cb, upper) {
-                Ordering::Greater
-            } else {
-                Ordering::Equal
-            };
-        }
-        let maxlen = la.max(lb);
-        let sim_of = |d: usize| 1.0 - d as f64 / maxlen as f64;
-        // A distance is worth resolving exactly while it could still vote
-        // Greater (`s > upper` wins even when the thresholds are inverted
-        // and `s < lower` also holds) or keep the vote out of NonMatch
-        // (`s >= lower`). Beyond both, the vote is Less no matter what.
-        let relevant = |d: usize| {
-            let s = sim_of(d);
-            s >= lower || s > upper
-        };
-        if !relevant(0) {
-            return Ordering::Less; // even identical strings fall below
-        }
-        let (mut lo, mut hi) = (0usize, maxlen);
-        while lo < hi {
-            let mid = lo + (hi - lo).div_ceil(2);
-            if relevant(mid) {
-                lo = mid;
-            } else {
-                hi = mid - 1;
+        {
+            let (la, lb) = (ca.len(), cb.len());
+            let maxlen = la.max(lb);
+            if maxlen > 0 && vote(1.0 - la.abs_diff(lb) as f64 / maxlen as f64) == Ordering::Less {
+                return Ordering::Less;
             }
         }
-        match sim::levenshtein_bounded_chars(ca, cb, lo) {
-            Some(d) => cmp(sim_of(d)),
-            None => Ordering::Less,
-        }
+        vote(self.score_texts(a, b))
     }
 
     /// Score a pair from already-prepared per-record data (see
     /// [`crate::prepared`]). Semantics match [`SimilarityConfig::score`]
-    /// exactly: string measures read the preprocessed text, set measures
-    /// the token vectors, weighted measures the attached weight vectors
-    /// (falling back to building weights from the tokens when a ref
-    /// carries none — TF-IDF without weights degrades to TF, like `score`
-    /// without stats).
+    /// exactly: Levenshtein and Jaro-Winkler read the record's chars
+    /// (collected once per record, not per pair), Monge-Elkan and the set
+    /// measures the token vectors, weighted measures the attached weight
+    /// vectors (falling back to building weights from the tokens when a
+    /// ref carries none — TF-IDF without weights degrades to TF, like
+    /// `score` without stats).
     pub fn score_prepared(&self, a: &PreparedRef<'_>, b: &PreparedRef<'_>) -> f64 {
         match self.measure {
-            Measure::Levenshtein => sim::levenshtein_similarity(a.cleaned, b.cleaned),
-            Measure::JaroWinkler => sim::jaro_winkler(a.cleaned, b.cleaned),
-            Measure::MongeElkan => sim::monge_elkan_sym(a.tokens, b.tokens, sim::jaro_winkler),
+            Measure::Levenshtein => sim::levenshtein_similarity_chars(a.chars, b.chars),
+            Measure::JaroWinkler => sim::jaro_winkler_chars(a.chars, b.chars),
+            Measure::MongeElkan => sim::monge_elkan_jaro_winkler(
+                &sim::TokenChars::new(a.tokens),
+                &sim::TokenChars::new(b.tokens),
+            ),
             Measure::Dice => sim::dice_sorted(a.hashes, b.hashes),
             Measure::Overlap => sim::overlap_sorted(a.hashes, b.hashes),
             Measure::Jaccard | Measure::Cosine => {
@@ -417,34 +388,140 @@ mod tests {
         assert_eq!(a.score("abc", "abd", None), b.score("abc", "abd", None));
     }
 
+    /// Levenshtein on the raw strings.
+    fn levenshtein_config() -> SimilarityConfig {
+        SimilarityConfig {
+            preprocess: Vec::new(),
+            tokenizer: Tokenizer::Whitespace,
+            weighting: Weighting::Uniform,
+            measure: Measure::Levenshtein,
+        }
+    }
+
+    /// The vote `classify_texts` must give: score, then compare.
+    fn expected_vote(s: f64, upper: f64, lower: f64) -> std::cmp::Ordering {
+        use std::cmp::Ordering;
+        if s > upper {
+            Ordering::Greater
+        } else if s < lower {
+            Ordering::Less
+        } else {
+            Ordering::Equal
+        }
+    }
+
+    /// The next float above a non-negative `x`.
+    fn next_up(x: f64) -> f64 {
+        f64::from_bits(x.to_bits() + 1)
+    }
+
+    /// `classify_texts` at thresholds sitting exactly on an achievable
+    /// Levenshtein score — the strict `>` and `<` — and at NaN and
+    /// inverted thresholds.
+    #[test]
+    fn classify_texts_is_strict_at_achievable_thresholds() {
+        use std::cmp::Ordering::{Equal, Greater, Less};
+        let cfg = levenshtein_config();
+        let vote = |a: &str, b: &str, upper: f64, lower: f64| {
+            cfg.classify_texts(&cfg.prepare(a, None), &cfg.prepare(b, None), upper, lower)
+        };
+        let (a, b) = ("kitten", "sitting"); // d = 3, maxlen = 7
+        let s = cfg.score(a, b, None);
+        assert_eq!(vote(a, b, s, -1.0), Equal, "a tie does not vote +1");
+        assert_eq!(vote(a, b, s - 1e-9, -1.0), Greater);
+        assert_eq!(vote(a, b, 2.0, s), Equal, "a tie does not vote -1");
+        assert_eq!(vote(a, b, 2.0, next_up(s)), Less);
+        assert_eq!(vote(a, b, 1.0, -1.0), Equal);
+        assert_eq!(vote("", "", 0.9, 0.5), Greater, "two empty strings score 1");
+        // `s > NaN` and `s < NaN` never hold.
+        assert_eq!(vote(a, b, f64::NAN, 0.5), Equal);
+        assert_eq!(vote(a, b, f64::NAN, 0.9), Less);
+        assert_eq!(vote(a, b, 0.5, f64::NAN), Greater);
+        assert_eq!(vote(a, b, 0.9, f64::NAN), Equal);
+        assert_eq!(vote(a, b, f64::NAN, f64::NAN), Equal);
+        // Inverted thresholds: `> upper` wins over `< lower`, also when
+        // the length gap alone puts the score below `lower`.
+        assert_eq!(vote(a, b, 0.2, 0.9), Greater);
+        assert_eq!(vote("a", "abcdefghij", 0.05, 0.5), Greater);
+        assert_eq!(vote("a", "abcdefghij", 0.1, 0.5), Less);
+    }
+
+    /// The length-gap exit at its edge: `lower` on the score the gap
+    /// allows, and one float above it, around pairs whose distance is the
+    /// gap and pairs whose distance exceeds it — on multi-byte input where
+    /// char and byte lengths differ.
+    #[test]
+    fn classify_texts_gap_exit_edges() {
+        let cfg = levenshtein_config();
+        for (a, b) in [
+            ("ベータマックス", "ベーターマックス"),
+            ("héllo", "héllo wörld"),
+            ("naïve", "naive"),
+            ("kitten", "sitting"),
+            ("", "abc"),
+        ] {
+            let (pa, pb) = (cfg.prepare(a, None), cfg.prepare(b, None));
+            let s = cfg.score_texts(&pa, &pb);
+            let (la, lb) = (a.chars().count(), b.chars().count());
+            let gap_best = 1.0 - la.abs_diff(lb) as f64 / la.max(lb) as f64;
+            for lower in [gap_best, next_up(gap_best), s, next_up(s)] {
+                for upper in [2.0, gap_best, s, f64::NAN] {
+                    assert_eq!(
+                        cfg.classify_texts(&pa, &pb, upper, lower),
+                        expected_vote(s, upper, lower),
+                        "{a:?} vs {b:?}: s={s} upper={upper} lower={lower}"
+                    );
+                }
+            }
+        }
+    }
+
     proptest! {
         /// `classify_texts` is exactly "score, then compare" for every
-        /// measure in the grid — in particular the banded Levenshtein
-        /// path must reproduce the full-DP vote bit for bit.
+        /// measure in the grid, on strings that cross a table word.
         #[test]
         fn classify_texts_matches_score_comparison(
-            a in "[a-cé ]{0,10}",
-            b in "[a-cé ]{0,10}",
+            a in "[a-cé ]{0,80}",
+            b in "[a-cé ]{0,80}",
             idx in 0usize..36,
             upper in 0.0f64..1.2,
             lower in -0.2f64..1.0,
         ) {
-            use std::cmp::Ordering;
             let grid = default_config_grid();
             let cfg = &grid[idx % grid.len()];
             let s = cfg.score(&a, &b, None);
-            let expected = if s > upper {
-                Ordering::Greater
-            } else if s < lower {
-                Ordering::Less
-            } else {
-                Ordering::Equal
-            };
             prop_assert_eq!(
                 cfg.classify_texts(&cfg.prepare(&a, None), &cfg.prepare(&b, None), upper, lower),
-                expected,
+                expected_vote(s, upper, lower),
                 "{} s={} upper={} lower={}", cfg.id(), s, upper, lower
             );
+        }
+
+        /// Levenshtein votes with every achievable score, and a random
+        /// and a NaN value, as either threshold: the exact ties, the
+        /// out-of-range and the inverted thresholds the length-gap exit
+        /// must get right.
+        #[test]
+        fn classify_texts_matches_levenshtein_at_achievable_scores(
+            a in "[abé]{0,12}",
+            b in "[abé]{0,12}",
+            t in -0.5f64..1.5,
+        ) {
+            let cfg = levenshtein_config();
+            let (pa, pb) = (cfg.prepare(&a, None), cfg.prepare(&b, None));
+            let s = cfg.score_texts(&pa, &pb);
+            let maxlen = a.chars().count().max(b.chars().count());
+            let mut thresholds = vec![t, f64::NAN];
+            thresholds.extend((0..=maxlen).map(|d| 1.0 - d as f64 / maxlen as f64));
+            for &upper in &thresholds {
+                for &lower in &thresholds {
+                    prop_assert_eq!(
+                        cfg.classify_texts(&pa, &pb, upper, lower),
+                        expected_vote(s, upper, lower),
+                        "{:?} vs {:?}: s={} upper={} lower={}", a, b, s, upper, lower
+                    );
+                }
+            }
         }
 
         /// Every config in the grid returns a score in [0,1], symmetric,

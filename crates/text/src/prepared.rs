@@ -48,7 +48,10 @@ pub fn pipeline_id(pipeline: &[Preprocess]) -> String {
 /// `(pipeline, tokenizer)` choice. Indexed by record position.
 #[derive(Debug, Clone, Default)]
 pub struct PreparedColumn {
-    cleaned: Vec<String>,
+    /// Every record's preprocessed chars, concatenated; record `i`'s end
+    /// at `ends[i]`.
+    chars: Vec<char>,
+    ends: Vec<usize>,
     tokens: Vec<Vec<String>>,
     hashes: Vec<Vec<u64>>,
     blank: Vec<bool>,
@@ -63,7 +66,8 @@ impl PreparedColumn {
         pipeline: &[Preprocess],
         tokenizer: Tokenizer,
     ) -> Self {
-        let mut cleaned = Vec::with_capacity(texts.len());
+        let mut chars = Vec::new();
+        let mut ends = Vec::with_capacity(texts.len());
         let mut tokens = Vec::with_capacity(texts.len());
         let mut hashes = Vec::with_capacity(texts.len());
         let mut blank = Vec::with_capacity(texts.len());
@@ -74,10 +78,13 @@ impl PreparedColumn {
             let toks = tokenizer.tokens(&c);
             hashes.push(sorted_token_hashes(&toks));
             tokens.push(toks);
-            cleaned.push(c);
+            chars.extend(c.chars());
+            ends.push(chars.len());
         }
+        chars.shrink_to_fit();
         PreparedColumn {
-            cleaned,
+            chars,
+            ends,
             tokens,
             hashes,
             blank,
@@ -86,17 +93,18 @@ impl PreparedColumn {
 
     /// Number of records.
     pub fn len(&self) -> usize {
-        self.cleaned.len()
+        self.ends.len()
     }
 
     /// True when the column has no records.
     pub fn is_empty(&self) -> bool {
-        self.cleaned.is_empty()
+        self.ends.is_empty()
     }
 
-    /// The preprocessed text of record `i`.
-    pub fn cleaned(&self, i: usize) -> &str {
-        &self.cleaned[i]
+    /// The chars of record `i`'s preprocessed text.
+    pub fn chars(&self, i: usize) -> &[char] {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        &self.chars[start..self.ends[i]]
     }
 
     /// The token vector of record `i`.
@@ -119,7 +127,7 @@ impl PreparedColumn {
     /// Borrow record `i` for scoring (no weight vector attached).
     pub fn record(&self, i: usize) -> PreparedRef<'_> {
         PreparedRef {
-            cleaned: &self.cleaned[i],
+            chars: self.chars(i),
             tokens: &self.tokens[i],
             hashes: &self.hashes[i],
             weights: None,
@@ -133,7 +141,7 @@ impl PreparedColumn {
         weights: &'a [SortedWeights],
     ) -> PreparedRef<'a> {
         PreparedRef {
-            cleaned: &self.cleaned[i],
+            chars: self.chars(i),
             tokens: &self.tokens[i],
             hashes: &self.hashes[i],
             weights: Some(&weights[i]),
@@ -168,8 +176,8 @@ impl PreparedColumn {
 /// `SimilarityConfig::score_prepared` consumes.
 #[derive(Debug, Clone, Copy)]
 pub struct PreparedRef<'a> {
-    /// Preprocessed text (string measures).
-    pub cleaned: &'a str,
+    /// Preprocessed text's chars (string measures).
+    pub chars: &'a [char],
     /// Token vector (Monge-Elkan and anything else that needs content).
     pub tokens: &'a [String],
     /// Sorted deduplicated token hashes (unweighted set measures).
@@ -333,7 +341,7 @@ mod tests {
         assert_eq!(col.len(), 3);
         for (i, t) in texts().iter().enumerate() {
             let cleaned = apply_pipeline(&pp, t);
-            assert_eq!(col.cleaned(i), cleaned);
+            assert_eq!(col.chars(i), cleaned.chars().collect::<Vec<_>>());
             assert_eq!(col.tokens(i), Tokenizer::Whitespace.tokens(&cleaned));
         }
         assert!(!col.is_blank(0));

@@ -235,138 +235,221 @@ pub fn weighted_cosine_sorted(a: &SortedWeights, b: &SortedWeights) -> f64 {
 // String (edit-based) measures
 // ---------------------------------------------------------------------------
 //
-// The kernels work on char slices and allocate nothing per call: the DP
-// rows and match flags they need live in a per-thread work buffer that
-// grows to the longest input its thread has seen (up to `KEEP_WORDS`).
-// The `&str` functions collect chars and call them; callers that score one
-// string against many (prepared LF state) collect once.
+// The kernels work on char slices and are bit-parallel over a
+// pattern-match table: for one string, each char's occurrence bitmask,
+// ⌈len/64⌉ words per char. Levenshtein is Hyyrö's (2003) block form of
+// Myers' (1999) bit-vector algorithm over the shorter string's table; Jaro
+// takes, for each char of `a`, the lowest free in-window bit of `b`'s
+// table. The `&str` functions collect chars and call them; callers that
+// score one string against many (prepared columns, prepared LF state)
+// collect once per record.
+//
+// Table rows, bit vectors and match flags live in a per-thread scratch that
+// grows to the longest input its thread has seen (up to `KEEP_WORDS` per
+// buffer). Every kernel initialises what it reads, so nothing one call
+// leaves in the scratch reaches the next.
 
-thread_local! {
-    static WORK: std::cell::RefCell<Vec<u64>> = const { std::cell::RefCell::new(Vec::new()) };
+/// Per-thread kernel scratch (see the section comment).
+#[derive(Default)]
+struct Scratch {
+    /// Pattern-match table rows of `words` words each: rows 0–127 are the
+    /// ASCII chars, row [`ABSENT`] stays zero for chars the string lacks,
+    /// and the rows after it belong to the non-ASCII chars in `side`.
+    table: Vec<u64>,
+    /// The string's distinct non-ASCII chars, ascending.
+    side: Vec<char>,
+    /// Levenshtein's vertical delta vectors; Jaro's match flags and
+    /// Monge-Elkan's column bests.
+    bits: Vec<u64>,
 }
 
-/// Work-buffer words (512 KiB) a thread keeps between calls. A call needing
-/// more — a Levenshtein DP over strings past ~32k chars — frees its buffer
-/// when it returns, so one huge input does not pin memory on every thread.
+thread_local! {
+    static SCRATCH: std::cell::RefCell<Scratch> = std::cell::RefCell::new(Scratch::default());
+}
+
+/// Words (512 KiB) each scratch buffer keeps between calls. A call needing
+/// more — a table over a string past ~32k chars — frees the scratch when
+/// it returns, so one huge input does not pin memory on every thread.
 const KEEP_WORDS: usize = 1 << 16;
 
-/// Run `f` on `words` words of this thread's work buffer (contents left over
-/// from earlier calls; `f` initialises what it reads). Kernels never nest
-/// buffer borrows.
-fn with_work<R>(words: usize, f: impl FnOnce(&mut [u64]) -> R) -> R {
-    WORK.with(|cell| {
-        let mut buf = cell.borrow_mut();
-        if buf.len() < words {
-            buf.resize(words, 0);
-        }
-        let out = f(&mut buf[..words]);
-        if buf.len() > KEEP_WORDS {
-            *buf = Vec::new();
+/// The all-zero table row that chars absent from the string read.
+const ABSENT: usize = 128;
+
+/// Run `f` on this thread's scratch. Kernels never nest scratch borrows.
+fn with_scratch<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
+    SCRATCH.with(|cell| {
+        let mut s = cell.borrow_mut();
+        let out = f(&mut s);
+        if s.table
+            .capacity()
+            .max(s.bits.capacity())
+            .max(s.side.capacity())
+            > KEEP_WORDS
+        {
+            *s = Scratch::default();
         }
         out
     })
 }
 
-#[inline]
-fn bit(flags: &[u64], i: usize) -> bool {
-    flags[i / 64] >> (i % 64) & 1 == 1
+/// A built pattern-match table: bit `i` of a char's row is set iff the
+/// string's char `i` is that char.
+struct Table<'s> {
+    rows: &'s [u64],
+    side: &'s [char],
+    words: usize,
 }
 
+impl Table<'_> {
+    /// Index of the first word of `c`'s row.
+    #[inline]
+    fn row_start(&self, c: char) -> usize {
+        let r = if c.is_ascii() {
+            c as usize
+        } else {
+            self.side
+                .binary_search(&c)
+                .map_or(ABSENT, |k| ABSENT + 1 + k)
+        };
+        r * self.words
+    }
+
+    /// `c`'s row.
+    #[inline]
+    fn row(&self, c: char) -> &[u64] {
+        let start = self.row_start(c);
+        &self.rows[start..start + self.words]
+    }
+
+    /// Bits `start..start + 64` of `c`'s row (zero past its end).
+    #[inline]
+    fn bits_from(&self, c: char, start: usize) -> u64 {
+        let (w, shift) = (start / 64, start % 64);
+        let word = self.row_start(c) + w;
+        let high = if shift > 0 && w + 1 < self.words {
+            self.rows[word + 1] << (64 - shift)
+        } else {
+            0
+        };
+        self.rows[word] >> shift | high
+    }
+}
+
+/// Build `s`'s pattern-match table in `words` words per row (at least
+/// ⌈|s|/64⌉) in `table` and `side`, clearing every row first.
+fn build_table<'s>(
+    s: &[char],
+    words: usize,
+    table: &'s mut Vec<u64>,
+    side: &'s mut Vec<char>,
+) -> Table<'s> {
+    table.clear();
+    table.resize((ABSENT + 1) * words, 0);
+    side.clear();
+    for (i, &c) in s.iter().enumerate() {
+        if c.is_ascii() {
+            table[c as usize * words + i / 64] |= 1 << (i % 64);
+        } else {
+            side.push(c);
+        }
+    }
+    if !side.is_empty() {
+        side.sort_unstable();
+        side.dedup();
+        table.resize((ABSENT + 1 + side.len()) * words, 0);
+        for (i, c) in s.iter().enumerate() {
+            if let Ok(k) = side.binary_search(c) {
+                table[(ABSENT + 1 + k) * words + i / 64] |= 1 << (i % 64);
+            }
+        }
+    }
+    Table {
+        rows: table,
+        side,
+        words,
+    }
+}
+
+/// Bits of word `w` that lie in `[lo, hi)`; the range must meet the word.
 #[inline]
-fn set_bit(flags: &mut [u64], i: usize) {
-    flags[i / 64] |= 1 << (i % 64);
+fn word_mask(w: usize, lo: usize, hi: usize) -> u64 {
+    let start = lo.max(w * 64) - w * 64;
+    let end = hi.min(w * 64 + 64) - w * 64;
+    (!0u64 >> (64 - (end - start))) << start
 }
 
 fn chars(s: &str) -> Vec<char> {
     s.chars().collect()
 }
 
-/// Levenshtein edit distance (unit costs), O(|a|·|b|) time.
+/// Levenshtein edit distance (unit costs).
 pub fn levenshtein(a: &str, b: &str) -> usize {
     levenshtein_chars(&chars(a), &chars(b))
 }
 
-/// [`levenshtein`] over char slices: the full DP on two work-buffer rows.
+/// [`levenshtein`] over char slices.
 pub fn levenshtein_chars(a: &[char], b: &[char]) -> usize {
-    let (a, b) = if a.len() < b.len() { (a, b) } else { (b, a) };
-    if a.is_empty() {
-        return b.len();
-    }
-    let n = a.len() + 1;
-    with_work(2 * n, |rows| {
-        let (mut prev, mut cur) = rows.split_at_mut(n);
-        for (i, p) in prev.iter_mut().enumerate() {
-            *p = i as u64;
-        }
-        for (j, cb) in b.iter().enumerate() {
-            cur[0] = j as u64 + 1;
-            for (i, ca) in a.iter().enumerate() {
-                let cost = u64::from(ca != cb);
-                cur[i + 1] = (prev[i] + cost).min(prev[i + 1] + 1).min(cur[i] + 1);
-            }
-            std::mem::swap(&mut prev, &mut cur);
-        }
-        prev[a.len()] as usize
-    })
+    let (p, t) = if a.len() <= b.len() { (a, b) } else { (b, a) };
+    with_scratch(|s| levenshtein_kernel(p, t, s))
 }
 
-/// Levenshtein with early exit: returns `None` when the distance exceeds
-/// `max`. Banded: O((|a|+|b|)·max) time.
-pub fn levenshtein_bounded(a: &str, b: &str, max: usize) -> Option<usize> {
-    levenshtein_bounded_chars(&chars(a), &chars(b), max)
+/// One text-char step of one 64-row block of Myers' algorithm in Hyyrö's
+/// block form: advance the block's vertical deltas `pv`/`mv` (bit `i` set:
+/// +1/−1 from row `i` to `i + 1`) given the char's match bits `eq` and the
+/// horizontal delta entering the block's top row (`hp` = +1, `hm` = −1, as
+/// bit 0). Returns the block's horizontal deltas before the shift: bit `i`
+/// of the pair is the delta on row `i + 1`.
+#[inline(always)]
+fn advance_block(eq: u64, pv: &mut u64, mv: &mut u64, hp: u64, hm: u64) -> (u64, u64) {
+    let xv = eq | *mv;
+    let eq = eq | hm;
+    let xh = ((eq & *pv).wrapping_add(*pv) ^ *pv) | eq;
+    let ph = *mv | !(xh | *pv);
+    let mh = *pv & xh;
+    let (sp, sm) = (ph << 1 | hp, mh << 1 | hm);
+    *pv = sm | !(xv | sp);
+    *mv = sp & xv;
+    (ph, mh)
 }
 
-/// [`levenshtein_bounded`] over char slices. Each row touches only its
-/// band `|i − j| ≤ max` plus the one cell past it that the next row reads,
-/// so the cost stays O((|a|+|b|)·max) however long the strings are.
-pub fn levenshtein_bounded_chars(a: &[char], b: &[char], max: usize) -> Option<usize> {
-    let (a, b) = if a.len() < b.len() { (a, b) } else { (b, a) };
-    if b.len() - a.len() > max {
-        return None;
+/// The distance of pattern `p` and text `t` (`|p| ≤ |t|`): one column of
+/// ⌈|p|/64⌉ blocks per char of `t` over `p`'s pattern-match table,
+/// tracking the bottom row's value `D[|p|][j]`.
+fn levenshtein_kernel(p: &[char], t: &[char], s: &mut Scratch) -> usize {
+    let m = p.len();
+    if m == 0 {
+        return t.len();
     }
-    if a.is_empty() {
-        return (b.len() <= max).then_some(b.len());
+    let words = m.div_ceil(64);
+    let table = build_table(p, words, &mut s.table, &mut s.side);
+    let bottom = 1u64 << ((m - 1) % 64);
+    let mut dist = m;
+    // Row 0 is D[0][j] = j: +1 enters the top block on every column.
+    if words == 1 {
+        let (mut pv, mut mv) = (!0u64, 0u64);
+        for &c in t {
+            let (ph, mh) = advance_block(table.row(c)[0], &mut pv, &mut mv, 1, 0);
+            dist += usize::from(ph & bottom != 0);
+            dist -= usize::from(mh & bottom != 0);
+        }
+        return dist;
     }
-    const BIG: u64 = u64::MAX / 2;
-    let n = a.len() + 1;
-    with_work(2 * n, |rows| {
-        let (mut prev, mut cur) = rows.split_at_mut(n);
-        let top = max.min(a.len());
-        for (i, p) in prev[..=top].iter_mut().enumerate() {
-            *p = i as u64;
+    s.bits.clear();
+    s.bits.resize(2 * words, 0);
+    let (pv, mv) = s.bits.split_at_mut(words);
+    pv.fill(!0);
+    for &c in t {
+        let row = table.row(c);
+        let (mut hp, mut hm) = (1u64, 0u64);
+        let (mut ph, mut mh) = (0u64, 0u64);
+        for ((&eq, pv), mv) in row.iter().zip(pv.iter_mut()).zip(mv.iter_mut()) {
+            (ph, mh) = advance_block(eq, pv, mv, hp, hm);
+            (hp, hm) = (ph >> 63, mh >> 63);
         }
-        if top < a.len() {
-            prev[top + 1] = BIG;
-        }
-        for (j, cb) in b.iter().enumerate() {
-            // Band over i: |i - j| ≤ max (chars beyond can't recover).
-            let lo = j.saturating_sub(max);
-            let hi = j.saturating_add(max).saturating_add(1).min(a.len());
-            cur[0] = if j < max { j as u64 + 1 } else { BIG };
-            if lo > 0 {
-                cur[lo] = BIG;
-            }
-            let mut row_min = cur[0];
-            for i in lo..hi {
-                let cost = u64::from(a[i] != *cb);
-                let v = (prev[i] + cost)
-                    .min(prev[i + 1].saturating_add(1))
-                    .min(cur[i].saturating_add(1));
-                cur[i + 1] = v;
-                row_min = row_min.min(v);
-            }
-            if row_min > max as u64 {
-                return None;
-            }
-            // The next row's band reaches one cell further right.
-            if hi < a.len() {
-                cur[hi + 1] = BIG;
-            }
-            std::mem::swap(&mut prev, &mut cur);
-        }
-        let d = prev[a.len()] as usize;
-        (d <= max).then_some(d)
-    })
+        dist += usize::from(ph & bottom != 0);
+        dist -= usize::from(mh & bottom != 0);
+    }
+    dist
 }
 
 /// Normalised Levenshtein similarity `1 − d / max(|a|,|b|)`.
@@ -383,86 +466,90 @@ pub fn levenshtein_similarity_chars(a: &[char], b: &[char]) -> f64 {
     1.0 - levenshtein_chars(a, b) as f64 / maxlen as f64
 }
 
-/// Does `levenshtein_similarity(a, b) > threshold` hold? Decides the
-/// comparison through the banded kernel instead of the full DP: the
-/// largest edit distance `d_max` still satisfying the *exact* float
-/// predicate `1 − d/maxlen > threshold` is found by binary search, and
-/// [`levenshtein_bounded`] with that band answers in
-/// O((|a|+|b|)·d_max) — with an O(1) early exit on a length gap — instead
-/// of O(|a|·|b|). Exactly equivalent to computing the similarity and
-/// comparing, including ties lost to float rounding.
-pub fn levenshtein_similarity_exceeds(a: &str, b: &str, threshold: f64) -> bool {
-    levenshtein_similarity_exceeds_chars(&chars(a), &chars(b), threshold)
-}
-
-/// [`levenshtein_similarity_exceeds`] over char slices.
-pub fn levenshtein_similarity_exceeds_chars(a: &[char], b: &[char], threshold: f64) -> bool {
-    let (la, lb) = (a.len(), b.len());
-    if la == 0 && lb == 0 {
-        return 1.0 > threshold;
-    }
-    let maxlen = la.max(lb);
-    let sim = |d: usize| 1.0 - d as f64 / maxlen as f64;
-    if sim(0) <= threshold || threshold.is_nan() {
-        return false; // even identical strings wouldn't clear it
-    }
-    // Largest d with sim(d) > threshold; sim is nonincreasing in d.
-    let (mut lo, mut hi) = (0usize, maxlen); // invariant: sim(lo) passes
-    while lo < hi {
-        let mid = lo + (hi - lo).div_ceil(2);
-        if sim(mid) > threshold {
-            lo = mid;
-        } else {
-            hi = mid - 1;
-        }
-    }
-    levenshtein_bounded_chars(a, b, lo).is_some()
-}
-
 /// Jaro similarity.
 pub fn jaro(a: &str, b: &str) -> f64 {
     jaro_chars(&chars(a), &chars(b))
 }
 
-/// [`jaro`] over char slices.
+/// [`jaro`] over char slices, on `b`'s pattern-match table.
 pub fn jaro_chars(a: &[char], b: &[char]) -> f64 {
-    with_work(jaro_flag_words(a.len(), b.len()), |flags| {
-        jaro_in(a, b, flags)
+    with_scratch(|s| {
+        let words = b.len().div_ceil(64);
+        let table = build_table(b, words, &mut s.table, &mut s.side);
+        s.bits.clear();
+        s.bits.resize(words + a.len().div_ceil(64), 0);
+        let (b_used, a_used) = s.bits.split_at_mut(words);
+        jaro_kernel(a, b, 0..b.len(), &table, b_used, a_used)
     })
 }
 
-/// Match-flag words [`jaro_in`] needs for strings of `la` and `lb` chars.
-fn jaro_flag_words(la: usize, lb: usize) -> usize {
-    la.div_ceil(64) + lb.div_ceil(64)
+/// Jaro-Winkler similarity with the standard prefix scale 0.1, prefix ≤ 4.
+pub fn jaro_winkler(a: &str, b: &str) -> f64 {
+    jaro_winkler_chars(&chars(a), &chars(b))
 }
 
-/// The Jaro kernel, with `flags` (at least [`jaro_flag_words`] words) as
-/// match-flag buffer.
+/// [`jaro_winkler`] over char slices.
+pub fn jaro_winkler_chars(a: &[char], b: &[char]) -> f64 {
+    winkler_boost(jaro_chars(a, b), a, b)
+}
+
+/// Jaro-Winkler from Jaro `j`: the common prefix of `a` and `b` (≤ 4
+/// chars) scaled by 0.1.
+#[inline]
+fn winkler_boost(j: f64, a: &[char], b: &[char]) -> f64 {
+    let prefix = a.iter().zip(b).take(4).take_while(|(x, y)| x == y).count() as f64;
+    (j + prefix * 0.1 * (1.0 - j)).clamp(0.0, 1.0)
+}
+
+/// Jaro of `a` and `b[span]`, where `table` is the pattern-match table of
+/// all of `b` and `b_used` has a bit per char of `b` (bits outside `span`
+/// are neither read nor written). `a_used` has a bit per char of `a`.
 ///
-/// Symmetric bit for bit: per character, the greedy window matching is the
-/// same two-pointer walk over that character's positions whichever side
-/// leads, so both directions match the same position pairs, count the same
-/// transpositions, and add the same two terms.
-fn jaro_in(a: &[char], b: &[char], flags: &mut [u64]) -> f64 {
-    if a.is_empty() && b.is_empty() {
+/// Each char of `a`, in order, takes the lowest in-window position of `b`
+/// holding the same char and not yet taken — the first-free match of the
+/// classic window scan — so matches, transpositions and the float
+/// expression are the scan's, bit for bit. Symmetric bit for bit: per
+/// character, the greedy window matching is the same two-pointer walk over
+/// that character's positions whichever side leads, so both directions
+/// match the same position pairs, count the same transpositions, and add
+/// the same two terms.
+fn jaro_kernel(
+    a: &[char],
+    b: &[char],
+    span: std::ops::Range<usize>,
+    table: &Table<'_>,
+    b_used: &mut [u64],
+    a_used: &mut [u64],
+) -> f64 {
+    let (la, lb) = (a.len(), span.len());
+    if la == 0 && lb == 0 {
         return 1.0;
     }
-    if a.is_empty() || b.is_empty() {
+    if la == 0 || lb == 0 {
         return 0.0;
     }
-    let window = (a.len().max(b.len()) / 2).saturating_sub(1);
-    let (a_used, rest) = flags.split_at_mut(a.len().div_ceil(64));
-    let b_used = &mut rest[..b.len().div_ceil(64)];
-    a_used.fill(0);
-    b_used.fill(0);
+    let window = (la.max(lb) / 2).saturating_sub(1);
+    if la <= 64 && lb <= 64 {
+        return jaro_one_word(a, b, span.start, lb, window, table);
+    }
+    let first = span.start / 64;
+    for (w, used) in (first..).zip(&mut b_used[first..=(span.end - 1) / 64]) {
+        *used &= !word_mask(w, span.start, span.end);
+    }
+    a_used[..la.div_ceil(64)].fill(0);
     let mut matches = 0usize;
-    for (i, ca) in a.iter().enumerate() {
-        let lo = i.saturating_sub(window);
-        let hi = (i + window + 1).min(b.len());
-        for (j, cb) in b.iter().enumerate().take(hi).skip(lo) {
-            if cb == ca && !bit(b_used, j) {
-                set_bit(b_used, j);
-                set_bit(a_used, i);
+    for (i, &c) in a.iter().enumerate() {
+        let lo = span.start + i.saturating_sub(window);
+        let hi = span.start + (i + window + 1).min(lb);
+        if lo >= hi {
+            continue;
+        }
+        let row = table.row(c);
+        for w in lo / 64..=(hi - 1) / 64 {
+            let free = row[w] & !b_used[w] & word_mask(w, lo, hi);
+            if free != 0 {
+                b_used[w] |= free & free.wrapping_neg();
+                a_used[i / 64] |= 1 << (i % 64);
                 matches += 1;
                 break;
             }
@@ -474,40 +561,65 @@ fn jaro_in(a: &[char], b: &[char], flags: &mut [u64]) -> f64 {
     // Transpositions: walk the matched chars of `a` (in a-order) and of
     // `b` (in b-order) in step; half the positions that disagree.
     let mut transpositions = 0usize;
-    let mut k = 0usize;
-    for (i, ca) in a.iter().enumerate() {
-        if !bit(a_used, i) {
+    let mut w = span.start / 64;
+    let mut taken = b_used[w] & word_mask(w, span.start, span.end);
+    for (i, &c) in a.iter().enumerate() {
+        if a_used[i / 64] >> (i % 64) & 1 == 0 {
             continue;
         }
-        while !bit(b_used, k) {
-            k += 1;
+        while taken == 0 {
+            w += 1;
+            taken = b_used[w] & word_mask(w, span.start, span.end);
         }
-        transpositions += usize::from(*ca != b[k]);
-        k += 1;
+        let j = w * 64 + taken.trailing_zeros() as usize;
+        taken &= taken - 1;
+        transpositions += usize::from(c != b[j]);
     }
     let t = transpositions as f64 / 2.0;
     let m = matches as f64;
-    (m / a.len() as f64 + m / b.len() as f64 + (m - t) / m) / 3.0
+    (m / la as f64 + m / lb as f64 + (m - t) / m) / 3.0
 }
 
-/// Jaro-Winkler similarity with the standard prefix scale 0.1, prefix ≤ 4.
-pub fn jaro_winkler(a: &str, b: &str) -> f64 {
-    jaro_winkler_chars(&chars(a), &chars(b))
-}
-
-/// [`jaro_winkler`] over char slices.
-pub fn jaro_winkler_chars(a: &[char], b: &[char]) -> f64 {
-    with_work(jaro_flag_words(a.len(), b.len()), |flags| {
-        jaro_winkler_in(a, b, flags)
-    })
-}
-
-/// The Jaro-Winkler kernel over [`jaro_in`]; symmetric bit for bit like it
-/// (the common prefix is too).
-fn jaro_winkler_in(a: &[char], b: &[char], flags: &mut [u64]) -> f64 {
-    let j = jaro_in(a, b, flags);
-    let prefix = a.iter().zip(b).take(4).take_while(|(x, y)| x == y).count() as f64;
-    (j + prefix * 0.1 * (1.0 - j)).clamp(0.0, 1.0)
+/// [`jaro_kernel`] when `a` and `b[start..start + lb]` both fit one word:
+/// the match flags stay in registers, and `b`'s rows are read shifted to
+/// its span. Nearly every Monge-Elkan token pair takes this path, which
+/// keeps Monge-Elkan as fast as the window scan it replaced.
+#[inline]
+fn jaro_one_word(
+    a: &[char],
+    b: &[char],
+    start: usize,
+    lb: usize,
+    window: usize,
+    table: &Table<'_>,
+) -> f64 {
+    let (mut a_used, mut b_used) = (0u64, 0u64);
+    let mut matches = 0usize;
+    for (i, &c) in a.iter().enumerate() {
+        let (lo, hi) = (i.saturating_sub(window), (i + window + 1).min(lb));
+        if lo >= hi {
+            continue;
+        }
+        let free = table.bits_from(c, start) & !b_used & word_mask(0, lo, hi);
+        if free != 0 {
+            b_used |= free & free.wrapping_neg();
+            a_used |= 1 << i;
+            matches += 1;
+        }
+    }
+    if matches == 0 {
+        return 0.0;
+    }
+    let mut transpositions = 0usize;
+    while a_used != 0 {
+        let (i, j) = (a_used.trailing_zeros(), b_used.trailing_zeros());
+        transpositions += usize::from(a[i as usize] != b[start + j as usize]);
+        a_used &= a_used - 1;
+        b_used &= b_used - 1;
+    }
+    let t = transpositions as f64 / 2.0;
+    let m = matches as f64;
+    (m / a.len() as f64 + m / lb as f64 + (m - t) / m) / 3.0
 }
 
 /// Monge-Elkan: for every token of `a`, the best `inner` similarity
@@ -572,27 +684,28 @@ impl TokenChars {
         self.ends.is_empty()
     }
 
-    /// The chars of token `i`.
-    pub fn token(&self, i: usize) -> &[char] {
+    /// Char range of token `i` in the concatenation.
+    fn span(&self, i: usize) -> std::ops::Range<usize> {
         let start = if i == 0 { 0 } else { self.ends[i - 1] as usize };
-        &self.chars[start..self.ends[i] as usize]
+        start..self.ends[i] as usize
     }
 
     /// Chars in the longest token.
     fn longest(&self) -> usize {
         (0..self.len())
-            .map(|i| self.token(i).len())
+            .map(|i| self.span(i).len())
             .max()
             .unwrap_or(0)
     }
 }
 
-/// Symmetrised Monge-Elkan with Jaro-Winkler inner similarity over char
-/// tokens: `monge_elkan_sym(a, b, jaro_winkler)` on the same tokens, bit
-/// for bit. Jaro-Winkler is symmetric bit for bit, so each token pair is
-/// scored once and feeds both directions: its row's best for `ME(a, b)`
-/// and its column's best for `ME(b, a)`, each folded in the order the
-/// two-pass version folds it.
+/// Symmetrised Monge-Elkan with Jaro-Winkler inner similarity over token
+/// lists: `monge_elkan_sym(a, b, jaro_winkler)` on the same tokens, bit for
+/// bit. One pattern-match table over `b`'s concatenated tokens serves
+/// every token pair. Jaro-Winkler is symmetric bit for bit, so each token
+/// pair is scored once and feeds both directions: its row's best for
+/// `ME(a, b)` and its column's best for `ME(b, a)`, each folded in the
+/// order the two-pass version folds it.
 pub fn monge_elkan_jaro_winkler(a: &TokenChars, b: &TokenChars) -> f64 {
     if a.is_empty() || b.is_empty() {
         return if a.is_empty() && b.is_empty() {
@@ -601,15 +714,23 @@ pub fn monge_elkan_jaro_winkler(a: &TokenChars, b: &TokenChars) -> f64 {
             0.0
         };
     }
-    let flag_words = jaro_flag_words(a.longest(), b.longest());
-    with_work(b.len() + flag_words, |buf| {
-        let (col_best, flags) = buf.split_at_mut(b.len());
-        col_best.fill(0.0f64.to_bits());
+    with_scratch(|s| {
+        let words = b.chars.len().div_ceil(64);
+        let table = build_table(&b.chars, words, &mut s.table, &mut s.side);
+        s.bits.clear();
+        s.bits
+            .resize(words + a.longest().div_ceil(64) + b.len(), 0.0f64.to_bits());
+        let (b_used, rest) = s.bits.split_at_mut(words);
+        let (a_used, col_best) = rest.split_at_mut(rest.len() - b.len());
         let mut total_a = 0.0;
         for i in 0..a.len() {
+            let ta = &a.chars[a.span(i)];
             let mut best = 0.0f64;
             for (j, col) in col_best.iter_mut().enumerate() {
-                let s = jaro_winkler_in(a.token(i), b.token(j), flags);
+                let span = b.span(j);
+                let tb = &b.chars[span.clone()];
+                let jw = jaro_kernel(ta, &b.chars, span, &table, b_used, a_used);
+                let s = winkler_boost(jw, ta, tb);
                 best = best.max(s);
                 *col = f64::from_bits(*col).max(s).to_bits();
             }
@@ -720,50 +841,6 @@ mod tests {
             prev[a.len()]
         }
 
-        pub fn levenshtein_bounded(a: &str, b: &str, max: usize) -> Option<usize> {
-            let a: Vec<char> = a.chars().collect();
-            let b: Vec<char> = b.chars().collect();
-            let (a, b) = if a.len() < b.len() { (a, b) } else { (b, a) };
-            if b.len() - a.len() > max {
-                return None;
-            }
-            if a.is_empty() {
-                return (b.len() <= max).then_some(b.len());
-            }
-            const BIG: usize = usize::MAX / 2;
-            let mut prev = vec![BIG; a.len() + 1];
-            let mut cur = vec![BIG; a.len() + 1];
-            for (i, p) in prev.iter_mut().enumerate().take(max.min(a.len()) + 1) {
-                *p = i;
-            }
-            for (j, cb) in b.iter().enumerate() {
-                let lo = j.saturating_sub(max);
-                let hi = (j + max + 1).min(a.len());
-                cur[0] = if j < max { j + 1 } else { BIG };
-                if lo > 0 {
-                    cur[lo] = BIG;
-                }
-                let mut row_min = cur[0];
-                for i in lo..hi {
-                    let cost = usize::from(a[i] != *cb);
-                    let v = (prev[i] + cost)
-                        .min(prev[i + 1].saturating_add(1))
-                        .min(cur[i].saturating_add(1));
-                    cur[i + 1] = v;
-                    row_min = row_min.min(v);
-                }
-                if row_min > max {
-                    return None;
-                }
-                std::mem::swap(&mut prev, &mut cur);
-                for v in cur.iter_mut() {
-                    *v = BIG;
-                }
-            }
-            let d = prev[a.len()];
-            (d <= max).then_some(d)
-        }
-
         pub fn jaro(a: &str, b: &str) -> f64 {
             let a: Vec<char> = a.chars().collect();
             let b: Vec<char> = b.chars().collect();
@@ -837,6 +914,76 @@ mod tests {
             }
             total / a.len() as f64
         }
+    }
+
+    fn oracle_levenshtein_similarity(a: &str, b: &str, d: usize) -> f64 {
+        let maxlen = a.chars().count().max(b.chars().count());
+        if maxlen == 0 {
+            1.0
+        } else {
+            1.0 - d as f64 / maxlen as f64
+        }
+    }
+
+    /// `s` with each edit `(position, kind, char)` applied in turn:
+    /// substitute, insert or delete one char.
+    fn near_duplicate(s: &str, edits: &[(usize, usize, String)]) -> String {
+        let mut chars: Vec<char> = s.chars().collect();
+        for (pos, kind, c) in edits {
+            let c = c.chars().next().expect("one char");
+            let i = pos % (chars.len() + 1);
+            match (kind, i < chars.len()) {
+                (0, true) => chars[i] = c,
+                (1, _) => chars.insert(i, c),
+                (_, true) => {
+                    chars.remove(i);
+                }
+                _ => {}
+            }
+        }
+        chars.into_iter().collect()
+    }
+
+    /// Pairs of 0–200-char strings (1–4 table words): unrelated draws
+    /// over a two-letter, an ASCII or a non-ASCII alphabet, or a draw and
+    /// a near-duplicate of it (up to five one-char edits).
+    fn string_pairs() -> BoxedStrategy<(String, String)> {
+        let near = (
+            "[abcé本 ]{0,200}",
+            proptest::collection::vec((0usize..256, 0usize..3, "[abé本]"), 0..6),
+        )
+            .prop_map(|(s, edits)| {
+                let t = near_duplicate(&s, &edits);
+                (s, t)
+            });
+        prop_oneof![
+            ("[ab]{0,200}", "[ab]{0,200}"),
+            ("[a-e ]{0,200}", "[a-e ]{0,200}"),
+            ("[abé本]{0,200}", "[abé本]{0,200}"),
+            near,
+        ]
+        .boxed()
+    }
+
+    /// Token lists of up to 6 and up to 24 tokens, ASCII or not, and lists
+    /// of tokens up to 90 chars long, so a token pair can pass one word.
+    /// The last draw puts such a token late in `b`'s concatenation, where
+    /// only a window measured from the token's own start keeps `a`'s
+    /// trailing `a`s away from `b`'s leading ones.
+    fn token_pairs() -> BoxedStrategy<(Vec<String>, Vec<String>)> {
+        use proptest::collection::vec;
+        let late = (0usize..120, 65usize..100, 1usize..30).prop_map(|(lead, c, x)| {
+            let a = vec!["c".repeat(c) + &"a".repeat(x)];
+            (a, vec!["z".repeat(lead), "a".repeat(x) + &"c".repeat(c)])
+        });
+        prop_oneof![
+            (vec("[abc]{0,6}", 0..6), vec("[abc]{0,12}", 0..24)),
+            (vec("[abcé本]{0,6}", 0..6), vec("[abcé本]{0,12}", 0..24)),
+            (vec("[abcé本]{0,12}", 0..24), vec("[abcé本]{0,6}", 0..6)),
+            (vec("[ab]{0,90}", 1..5), vec("[abé]{0,90}", 1..5)),
+            late,
+        ]
+        .boxed()
     }
 
     #[test]
@@ -926,15 +1073,31 @@ mod tests {
         assert_eq!(weighted_cosine(&b, &b), 1.0);
     }
 
+    /// The largest scratch buffer this thread holds, in elements.
+    fn scratch_capacity() -> usize {
+        SCRATCH.with(|s| {
+            let s = s.borrow();
+            s.table
+                .capacity()
+                .max(s.bits.capacity())
+                .max(s.side.capacity())
+        })
+    }
+
     #[test]
     fn oversized_work_buffer_is_released() {
-        let a: Vec<char> = "ab".repeat(KEEP_WORDS).chars().collect();
-        let mut b = a.clone();
+        // A table over 33k chars has 129 rows of 516 words: past KEEP_WORDS.
+        let a = "ab".repeat(16_500);
+        let mut b: Vec<char> = a.chars().collect();
         b[7] = 'z';
-        assert_eq!(levenshtein_bounded_chars(&a, &b, 2), Some(1));
-        assert_eq!(WORK.with(|s| s.borrow().len()), 0);
-        assert_eq!(levenshtein_bounded_chars(&a[..100], &b[..100], 2), Some(1));
-        assert!(WORK.with(|s| s.borrow().len()) <= KEEP_WORDS);
+        let b: String = b.into_iter().collect();
+        assert_eq!(levenshtein(&a, &b), 1);
+        assert_eq!(scratch_capacity(), 0);
+        assert!(jaro_winkler("ab", &b) > 0.0);
+        assert_eq!(scratch_capacity(), 0);
+        assert_eq!(levenshtein(&a[..100], &b[..100]), 1);
+        assert!(jaro_winkler(&a[..100], &b[..100]) > 0.9);
+        assert!(scratch_capacity() > 0 && scratch_capacity() <= KEEP_WORDS);
     }
 
     #[test]
@@ -943,75 +1106,6 @@ mod tests {
         assert_eq!(levenshtein("", "abc"), 3);
         assert_eq!(levenshtein("abc", "abc"), 0);
         assert_eq!(levenshtein("flaw", "lawn"), 2);
-    }
-
-    /// The banded DP at both band edges: `max == d` must return the exact
-    /// distance, `max == d − 1` must bail — including on multi-byte
-    /// (unicode) inputs where char and byte lengths diverge.
-    #[test]
-    fn bounded_band_edges() {
-        for (a, b) in [
-            ("kitten", "sitting"),
-            ("naïve", "naive"),
-            ("héllo wörld", "hello world"),
-            ("ベータマックス", "ベーターマックス"),
-            ("", "abc"),
-        ] {
-            let d = levenshtein(a, b);
-            assert_eq!(
-                levenshtein_bounded(a, b, d),
-                Some(d),
-                "{a:?} vs {b:?} at max=d"
-            );
-            assert_eq!(
-                levenshtein_bounded(a, b, d + 1),
-                Some(d),
-                "{a:?} vs {b:?} at max=d+1"
-            );
-            if d > 0 {
-                assert_eq!(
-                    levenshtein_bounded(a, b, d - 1),
-                    None,
-                    "{a:?} vs {b:?} at max=d-1"
-                );
-            }
-        }
-    }
-
-    /// `levenshtein_similarity_exceeds` at thresholds sitting *exactly* on
-    /// achievable similarity values — the `>` vs `>=` boundary.
-    #[test]
-    fn exceeds_is_strict_at_achievable_thresholds() {
-        let (a, b) = ("kitten", "sitting"); // d = 3, maxlen = 7
-        let s = levenshtein_similarity(a, b);
-        assert!(
-            !levenshtein_similarity_exceeds(a, b, s),
-            "strictly-greater: ties fail"
-        );
-        assert!(levenshtein_similarity_exceeds(a, b, s - 1e-9));
-        assert!(!levenshtein_similarity_exceeds(a, b, 1.0));
-        assert!(levenshtein_similarity_exceeds("", "", 0.9));
-        assert!(!levenshtein_similarity_exceeds(a, b, f64::NAN));
-    }
-
-    #[test]
-    fn bounded_levenshtein_agrees_or_bails() {
-        for (a, b) in [
-            ("kitten", "sitting"),
-            ("abc", "abc"),
-            ("a", "xyz"),
-            ("", ""),
-        ] {
-            let d = levenshtein(a, b);
-            for max in 0..6 {
-                let got = levenshtein_bounded(a, b, max);
-                if d <= max {
-                    assert_eq!(got, Some(d), "{a} {b} max={max}");
-                } else {
-                    assert_eq!(got, None, "{a} {b} max={max}");
-                }
-            }
-        }
     }
 
     #[test]
@@ -1092,29 +1186,6 @@ mod tests {
             prop_assert!((weighted_cosine_sorted(&sa, &sb) - weighted_cosine(&ma, &mb)).abs() < 1e-12);
         }
 
-        /// The banded threshold decision is exactly `similarity > t`, for
-        /// arbitrary thresholds including out-of-range ones.
-        #[test]
-        fn exceeds_matches_similarity_comparison(
-            a in "[abé]{0,8}",
-            b in "[abé]{0,8}",
-            t in -0.5f64..1.5,
-        ) {
-            prop_assert_eq!(
-                levenshtein_similarity_exceeds(&a, &b, t),
-                levenshtein_similarity(&a, &b) > t
-            );
-            // And at every achievable similarity value exactly.
-            let maxlen = a.chars().count().max(b.chars().count());
-            for d in 0..=maxlen {
-                let t = 1.0 - d as f64 / maxlen as f64;
-                prop_assert_eq!(
-                    levenshtein_similarity_exceeds(&a, &b, t),
-                    levenshtein_similarity(&a, &b) > t
-                );
-            }
-        }
-
         /// All set measures stay in [0,1], are symmetric, and are 1 on
         /// identical inputs.
         #[test]
@@ -1145,45 +1216,23 @@ mod tests {
             );
         }
 
-        /// The bounded variant agrees with the exact one whenever it
-        /// returns a value — on strings several times longer than the
-        /// band, so rows far past its start are exercised.
+        /// Levenshtein equals the full-DP oracle on strings of 0–200
+        /// chars (1–4 table words), over small alphabets, near-duplicates
+        /// and non-ASCII input.
         #[test]
-        fn bounded_matches_exact(
-            a in "[abc]{0,48}",
-            b in "[abc]{0,48}",
-            max in 0usize..12,
-        ) {
-            let exact_d = levenshtein(&a, &b);
-            match levenshtein_bounded(&a, &b, max) {
-                Some(d) => prop_assert_eq!(d, exact_d),
-                None => prop_assert!(exact_d > max),
-            }
-        }
-
-        /// The char-slice Levenshtein kernels equal the pre-kernel
-        /// versions exactly, for every band width — including bands far
-        /// narrower than the strings and non-ASCII input.
-        #[test]
-        fn levenshtein_kernels_match_oracle(
-            a in "[abé本 ]{0,40}",
-            b in "[abé本 ]{0,40}",
-            max in 0usize..48,
-        ) {
-            prop_assert_eq!(levenshtein(&a, &b), oracle::levenshtein(&a, &b));
+        fn levenshtein_kernels_match_oracle((a, b) in string_pairs()) {
+            let d = oracle::levenshtein(&a, &b);
+            prop_assert_eq!(levenshtein(&a, &b), d);
             prop_assert_eq!(
-                levenshtein_bounded(&a, &b, max),
-                oracle::levenshtein_bounded(&a, &b, max)
+                levenshtein_similarity(&a, &b).to_bits(),
+                oracle_levenshtein_similarity(&a, &b, d).to_bits()
             );
         }
 
-        /// Jaro and Jaro-Winkler over char slices equal the pre-kernel
-        /// versions bit for bit, across the 64-char flag-word boundary.
+        /// Jaro and Jaro-Winkler over the pattern-match table equal the
+        /// window-scan oracle bit for bit on the same string pairs.
         #[test]
-        fn jaro_kernels_match_oracle_bit_exactly(
-            a in "[abcé本]{0,80}",
-            b in "[abcé本]{0,80}",
-        ) {
+        fn jaro_kernels_match_oracle_bit_exactly((a, b) in string_pairs()) {
             prop_assert_eq!(jaro(&a, &b).to_bits(), oracle::jaro(&a, &b).to_bits());
             prop_assert_eq!(
                 jaro_winkler(&a, &b).to_bits(),
@@ -1206,13 +1255,13 @@ mod tests {
             );
         }
 
-        /// Monge-Elkan with Jaro-Winkler over token chars equals the
-        /// pre-kernel `&str` version bit for bit, in both directions.
+        /// Monge-Elkan with Jaro-Winkler over one table of `b`'s
+        /// concatenated tokens equals the oracle bit for bit, in both
+        /// directions — with up to 24 tokens on a side, so a side's
+        /// concatenation passes 64 chars, with tokens past 64 chars, and
+        /// over ASCII and non-ASCII tokens.
         #[test]
-        fn monge_elkan_kernel_matches_oracle_bit_exactly(
-            a in proptest::collection::vec("[abcé本]{0,6}", 0..6),
-            b in proptest::collection::vec("[abcé本]{0,6}", 0..6),
-        ) {
+        fn monge_elkan_kernel_matches_oracle_bit_exactly((a, b) in token_pairs()) {
             let want = oracle::monge_elkan(&a, &b).min(oracle::monge_elkan(&b, &a));
             let got = monge_elkan_jaro_winkler(&TokenChars::new(&a), &TokenChars::new(&b));
             prop_assert_eq!(got.to_bits(), want.to_bits());
@@ -1220,6 +1269,32 @@ mod tests {
                 monge_elkan_sym(&a, &b, jaro_winkler).to_bits(),
                 want.to_bits()
             );
+        }
+
+        /// Calls of different lengths and measures interleaved on one
+        /// thread each equal their oracle: nothing one call leaves in the
+        /// scratch (table rows, side chars, bit vectors, match flags)
+        /// reaches the next.
+        #[test]
+        fn interleaved_kernels_match_oracles(
+            calls in proptest::collection::vec((0usize..4, string_pairs()), 1..12),
+        ) {
+            for (measure, (a, b)) in &calls {
+                match measure {
+                    0 => prop_assert_eq!(levenshtein(a, b), oracle::levenshtein(a, b)),
+                    1 => prop_assert_eq!(jaro(a, b).to_bits(), oracle::jaro(a, b).to_bits()),
+                    2 => prop_assert_eq!(
+                        jaro_winkler(a, b).to_bits(),
+                        oracle::jaro_winkler(a, b).to_bits()
+                    ),
+                    _ => {
+                        let (ta, tb) = (toks(a), toks(b));
+                        let want = oracle::monge_elkan(&ta, &tb).min(oracle::monge_elkan(&tb, &ta));
+                        let got = monge_elkan_jaro_winkler(&TokenChars::new(&ta), &TokenChars::new(&tb));
+                        prop_assert_eq!(got.to_bits(), want.to_bits());
+                    }
+                }
+            }
         }
 
         /// Jaro(-Winkler) stays in [0,1] and is 1 on equal strings.
