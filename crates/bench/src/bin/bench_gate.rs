@@ -487,12 +487,17 @@ fn main() -> ExitCode {
             limit_factor,
         );
         let (apply, add_column) = (lfapply::apply_case(), lfapply::add_column_case());
+        let authors_me = lfapply::authors_me_case();
+        let (distinct, pooled) = (lfapply::token_case(None), lfapply::token_case(Some(200)));
         failed |= !hold_one_worker_lines(
             "BENCH_lfapply.json",
             "lfapply",
             &[
                 (&apply.name, &|n| apply.time(n)),
                 (&add_column.name, &|n| add_column.time(n)),
+                (&authors_me.name, &|n| authors_me.time(n)),
+                (&distinct.name, &|n| distinct.time(n)),
+                (&pooled.name, &|n| pooled.time(n)),
             ],
             limit_factor,
         );

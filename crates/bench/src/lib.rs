@@ -386,7 +386,10 @@ pub mod autolf {
 pub mod lfapply {
     use panda_datasets::DatasetFamily;
     use panda_lf::{BoxedLf, LabelMatrix, LfRegistry};
-    use panda_table::{CandidateSet, TablePair};
+    use panda_table::{CandidatePair, CandidateSet, Schema, Table, TablePair};
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::HashSet;
     use std::hint::black_box;
     use std::time::{Duration, Instant};
 
@@ -408,6 +411,82 @@ pub mod lfapply {
             tables,
             cands,
             lfs: super::curated_lfs(DatasetFamily::DblpScholar),
+        }
+    }
+
+    /// The curated dblp-scholar `authors_me` (Monge-Elkan with
+    /// Jaro-Winkler over author tokens).
+    fn authors_me() -> BoxedLf {
+        super::curated_lfs(DatasetFamily::DblpScholar)
+            .into_iter()
+            .find(|lf| lf.name() == "authors_me")
+            .expect("curated dblp-scholar set has authors_me")
+    }
+
+    /// `LabelMatrix::apply` of `authors_me` alone on [`apply_case`]'s
+    /// batch, whose author tokens repeat across candidates.
+    pub fn authors_me_case() -> Case {
+        let (tables, cands) = super::blocked(DatasetFamily::DblpScholar, 200, 11);
+        Case {
+            name: format!("apply/dblp_scholar_authors_me/200e_{}cands", cands.len()),
+            tables,
+            cands,
+            lfs: vec![authors_me()],
+        }
+    }
+
+    /// `LabelMatrix::apply` of `authors_me` on synthetic author lists:
+    /// 250 left and 300 right records of 2–8 random 4–8-letter tokens, 20
+    /// distinct random candidates per left record. With `pool`, every
+    /// token comes from that many distinct tokens, so token pairs repeat
+    /// across candidates; without, no token appears twice.
+    pub fn token_case(pool: Option<usize>) -> Case {
+        let mut rng = SmallRng::seed_from_u64(19);
+        let mut seen = HashSet::new();
+        let mut fresh = |rng: &mut SmallRng| loop {
+            let len = rng.gen_range(4..=8);
+            let token: String = (0..len)
+                .map(|_| rng.gen_range(b'a'..=b'z') as char)
+                .collect();
+            if seen.insert(token.clone()) {
+                return token;
+            }
+        };
+        let pool: Vec<String> = (0..pool.unwrap_or(0)).map(|_| fresh(&mut rng)).collect();
+        let mut table = |rows: usize, rng: &mut SmallRng| {
+            let mut t = Table::new("authors", Schema::of_text(&["authors"]));
+            for _ in 0..rows {
+                let tokens: Vec<String> = (0..rng.gen_range(2..=8))
+                    .map(|_| match pool.len() {
+                        0 => fresh(rng),
+                        n => pool[rng.gen_range(0..n)].clone(),
+                    })
+                    .collect();
+                t.push(vec![tokens.join(" ")]).expect("one text column");
+            }
+            t
+        };
+        let (left, right) = (table(250, &mut rng), table(300, &mut rng));
+        let mut pairs = Vec::new();
+        for l in 0..250u32 {
+            let mut picked = HashSet::new();
+            while picked.len() < 20 {
+                let r = rng.gen_range(0..300u32);
+                if picked.insert(r) {
+                    pairs.push(CandidatePair::new(l, r));
+                }
+            }
+        }
+        let cands = CandidateSet::from_pairs(pairs);
+        let tokens = match pool.len() {
+            0 => "distinct_tokens".to_string(),
+            n => format!("pool{n}_tokens"),
+        };
+        Case {
+            name: format!("apply/authors_me_{tokens}/250x300_{}cands", cands.len()),
+            tables: TablePair::new(left, right),
+            cands,
+            lfs: vec![authors_me()],
         }
     }
 

@@ -16,10 +16,10 @@
 //!   arbitrary user Python in the original system).
 
 use crate::lf::{LabelingFunction, LfProvenance};
-use crate::prepared::{label_records, prepare_records, PreparedLf, RecordKernel};
+use crate::prepared::{label_records, prepare_records, PreparedLf, RecordKernel, RecordStates};
 use crate::Label;
 use panda_table::{CandidatePair, PairRef, Record, Side, TablePair};
-use panda_text::{CorpusStats, PreparedText, SimilarityConfig};
+use panda_text::{CorpusStats, Measure, PreparedText, SimilarityConfig};
 use std::sync::Arc;
 
 /// `label` and `prepare` of a [`RecordKernel`] LF: both run its one vote
@@ -194,11 +194,17 @@ impl RecordKernel for SimilarityLf {
         };
         // classify_texts == scoring then comparing; Levenshtein skips the
         // kernel when the length gap alone already votes -1.
-        match self.config.classify_texts(a, b, self.upper, self.lower) {
-            std::cmp::Ordering::Greater => Label::Match,
-            std::cmp::Ordering::Less => Label::NonMatch,
-            std::cmp::Ordering::Equal => Label::Abstain,
-        }
+        similarity_label(self.config.classify_texts(a, b, self.upper, self.lower))
+    }
+}
+
+/// A similarity LF's vote from its three-way threshold decision
+/// (`panda_text::config::threshold_vote`).
+pub(crate) fn similarity_label(decision: std::cmp::Ordering) -> Label {
+    match decision {
+        std::cmp::Ordering::Greater => Label::Match,
+        std::cmp::Ordering::Less => Label::NonMatch,
+        std::cmp::Ordering::Equal => Label::Abstain,
     }
 }
 
@@ -207,7 +213,24 @@ impl LabelingFunction for SimilarityLf {
         &self.name
     }
 
-    record_kernel_paths!();
+    fn label(&self, pair: &PairRef<'_>) -> Label {
+        label_records(self, pair)
+    }
+
+    /// The per-record states, voted through the per-pair kernel — except
+    /// Monge-Elkan, which votes from a token-vocabulary matrix when that
+    /// scores fewer token pairs (`crate::vocab`).
+    fn prepare<'a>(
+        &'a self,
+        tables: &'a TablePair,
+        pairs: &[CandidatePair],
+    ) -> Box<dyn PreparedLf + 'a> {
+        let states = RecordStates::build(self, tables, pairs);
+        if self.config.measure == Measure::MongeElkan {
+            return crate::vocab::prepare(self, states, pairs);
+        }
+        Box::new(states)
+    }
 
     fn description(&self) -> String {
         format!(

@@ -55,13 +55,14 @@ pub mod library;
 pub mod matrix;
 pub mod prepared;
 pub mod stats;
+mod vocab;
 
 pub use builders::{
     AttributeEqualityLf, ClosureLf, ExtractionLf, NumericToleranceLf, SimilarityLf,
 };
 pub use label::Label;
 pub use lf::{BoxedLf, LabelingFunction, LfRegistry};
-pub use library::{address_matcher, organization_matcher, people_matcher, phone_matcher};
+pub use library::{address_matcher, phone_matcher};
 pub use matrix::{ApplyReport, ColumnSnapshot, LabelMatrix, PackedVotes, VOTES_PER_WORD};
 pub use prepared::{label_records, prepare_records, PreparedLf, RecordKernel};
 pub use stats::{lf_stats, LfStatsRow};

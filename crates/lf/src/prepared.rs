@@ -80,21 +80,30 @@ pub fn prepare_records<'a, K: RecordKernel>(
     tables: &TablePair,
     pairs: &[CandidatePair],
 ) -> Box<dyn PreparedLf + 'a> {
-    Box::new(RecordStates {
-        lf,
-        left: SideStates::build(&tables.left, pairs.iter().map(|p| p.left), |r| {
-            lf.prepare_record(Side::Left, r)
-        }),
-        right: SideStates::build(&tables.right, pairs.iter().map(|p| p.right), |r| {
-            lf.prepare_record(Side::Right, r)
-        }),
-    })
+    Box::new(RecordStates::build(lf, tables, pairs))
 }
 
-struct RecordStates<'a, K: RecordKernel> {
+/// A [`RecordKernel`] LF's per-record states for one candidate set, voted
+/// on through its kernel.
+pub(crate) struct RecordStates<'a, K: RecordKernel> {
     lf: &'a K,
-    left: SideStates<K::State>,
-    right: SideStates<K::State>,
+    pub(crate) left: SideStates<K::State>,
+    pub(crate) right: SideStates<K::State>,
+}
+
+impl<'a, K: RecordKernel> RecordStates<'a, K> {
+    /// One state per record the pairs reference on each side.
+    pub(crate) fn build(lf: &'a K, tables: &TablePair, pairs: &[CandidatePair]) -> Self {
+        RecordStates {
+            lf,
+            left: SideStates::build(&tables.left, pairs.iter().map(|p| p.left), |r| {
+                lf.prepare_record(Side::Left, r)
+            }),
+            right: SideStates::build(&tables.right, pairs.iter().map(|p| p.right), |r| {
+                lf.prepare_record(Side::Right, r)
+            }),
+        }
+    }
 }
 
 impl<K: RecordKernel> PreparedLf for RecordStates<'_, K> {
@@ -107,9 +116,9 @@ impl<K: RecordKernel> PreparedLf for RecordStates<'_, K> {
 }
 
 /// One side's states, keyed by the sorted ids of the records referenced.
-struct SideStates<S> {
-    ids: Vec<u32>,
-    states: Vec<S>,
+pub(crate) struct SideStates<S> {
+    pub(crate) ids: Vec<u32>,
+    pub(crate) states: Vec<S>,
 }
 
 impl<S> SideStates<S> {
@@ -131,7 +140,7 @@ impl<S> SideStates<S> {
         SideStates { ids, states }
     }
 
-    fn get(&self, id: RecordId) -> Option<&S> {
+    pub(crate) fn get(&self, id: RecordId) -> Option<&S> {
         self.ids.binary_search(&id.0).ok().map(|i| &self.states[i])
     }
 }

@@ -215,15 +215,7 @@ impl SimilarityConfig {
         lower: f64,
     ) -> std::cmp::Ordering {
         use std::cmp::Ordering;
-        let vote = |s: f64| {
-            if s > upper {
-                Ordering::Greater
-            } else if s < lower {
-                Ordering::Less
-            } else {
-                Ordering::Equal
-            }
-        };
+        let vote = |s: f64| threshold_vote(s, upper, lower);
         if let (Measure::Levenshtein, PreparedText::Chars(ca), PreparedText::Chars(cb)) =
             (self.measure, a, b)
         {
@@ -268,6 +260,23 @@ impl SimilarityConfig {
                 }
             }
         }
+    }
+}
+
+/// The three-way threshold decision on a score: `Greater` when
+/// `score > upper`, `Less` when `score < lower`, `Equal` (abstain)
+/// otherwise — so a NaN score abstains and a NaN threshold never votes
+/// on its side. The one comparator behind
+/// [`SimilarityConfig::classify_texts`] and every prepared vote that
+/// scores another way.
+pub fn threshold_vote(score: f64, upper: f64, lower: f64) -> std::cmp::Ordering {
+    use std::cmp::Ordering;
+    if score > upper {
+        Ordering::Greater
+    } else if score < lower {
+        Ordering::Less
+    } else {
+        Ordering::Equal
     }
 }
 

@@ -258,8 +258,7 @@ struct Scratch {
     table: Vec<u64>,
     /// The string's distinct non-ASCII chars, ascending.
     side: Vec<char>,
-    /// Levenshtein's vertical delta vectors; Jaro's match flags and
-    /// Monge-Elkan's column bests.
+    /// Levenshtein's vertical delta vectors; Jaro's match flags.
     bits: Vec<u64>,
 }
 
@@ -274,6 +273,13 @@ const KEEP_WORDS: usize = 1 << 16;
 
 /// The all-zero table row that chars absent from the string read.
 const ABSENT: usize = 128;
+
+/// Cells (8 MiB of `f64`) a Monge-Elkan token-vocabulary matrix may hold.
+/// A prepared Monge-Elkan LF scores its left × right token vocabularies
+/// once (with [`jaro_winkler_many`]) only when that takes no more kernels
+/// than its candidates' token pairs and fits here; past this cap its votes
+/// take the per-pair kernel whatever the token counts.
+pub const VOCAB_MATRIX_CELLS: usize = 1 << 20;
 
 /// Run `f` on this thread's scratch. Kernels never nest scratch borrows.
 fn with_scratch<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
@@ -493,6 +499,30 @@ pub fn jaro_winkler_chars(a: &[char], b: &[char]) -> f64 {
     winkler_boost(jaro_chars(a, b), a, b)
 }
 
+/// Jaro-Winkler of every string in `a` against `b`: `out[i]` is
+/// `jaro_winkler_chars(a[i], b)` bit for bit. One pattern-match table over
+/// `b` serves all of `a` — how a Monge-Elkan vocabulary matrix scores one
+/// right token against the whole left vocabulary.
+///
+/// # Panics
+///
+/// When `out` and `a` differ in length.
+pub fn jaro_winkler_many(a: &[&[char]], b: &[char], out: &mut [f64]) {
+    assert_eq!(a.len(), out.len(), "one output per string of `a`");
+    with_scratch(|s| {
+        let words = b.len().div_ceil(64);
+        let table = build_table(b, words, &mut s.table, &mut s.side);
+        let longest = a.iter().map(|t| t.len()).max().unwrap_or(0);
+        s.bits.clear();
+        s.bits.resize(words + longest.div_ceil(64), 0);
+        let (b_used, a_used) = s.bits.split_at_mut(words);
+        for (ta, out) in a.iter().zip(out) {
+            let j = jaro_kernel(ta, b, 0..b.len(), &table, b_used, a_used);
+            *out = winkler_boost(j, ta, b);
+        }
+    })
+}
+
 /// Jaro-Winkler from Jaro `j`: the common prefix of `a` and `b` (≤ 4
 /// chars) scaled by 0.1.
 #[inline]
@@ -684,6 +714,11 @@ impl TokenChars {
         self.ends.is_empty()
     }
 
+    /// The chars of token `i`.
+    pub fn token(&self, i: usize) -> &[char] {
+        &self.chars[self.span(i)]
+    }
+
     /// Char range of token `i` in the concatenation.
     fn span(&self, i: usize) -> std::ops::Range<usize> {
         let start = if i == 0 { 0 } else { self.ends[i - 1] as usize };
@@ -699,45 +734,62 @@ impl TokenChars {
     }
 }
 
+/// Token lists whose column bests [`monge_elkan_fold`] keeps on the stack.
+const STACK_TOKENS: usize = 64;
+
+/// Symmetrised Monge-Elkan of an `la`-token list `a` and an `lb`-token
+/// list `b`, folded from `score(i, j)`, the inner similarity of `a`'s
+/// token `i` and `b`'s token `j`: `min(ME(a, b), ME(b, a))`. Each pair is
+/// scored once, in row order, and feeds both directions — its row's best
+/// for `ME(a, b)` and its column's best for `ME(b, a)`, each folded in the
+/// order the two-pass [`monge_elkan_sym`] folds it. The one fold behind
+/// [`monge_elkan_jaro_winkler`] and every other Monge-Elkan score source
+/// (a prepared LF's vocabulary matrix), so they agree bit for bit when
+/// their `score`s do.
+pub fn monge_elkan_fold(la: usize, lb: usize, mut score: impl FnMut(usize, usize) -> f64) -> f64 {
+    if la == 0 || lb == 0 {
+        return if la == 0 && lb == 0 { 1.0 } else { 0.0 };
+    }
+    let mut stack = [0.0f64; STACK_TOKENS];
+    let mut heap = Vec::new();
+    let col_best = if lb <= STACK_TOKENS {
+        &mut stack[..lb]
+    } else {
+        heap.resize(lb, 0.0f64);
+        &mut heap[..]
+    };
+    let mut total_a = 0.0;
+    for i in 0..la {
+        let mut best = 0.0f64;
+        for (j, col) in col_best.iter_mut().enumerate() {
+            let s = score(i, j);
+            best = best.max(s);
+            *col = col.max(s);
+        }
+        total_a += best;
+    }
+    let total_b = col_best.iter().fold(0.0, |acc, &c| acc + c);
+    (total_a / la as f64).min(total_b / lb as f64)
+}
+
 /// Symmetrised Monge-Elkan with Jaro-Winkler inner similarity over token
 /// lists: `monge_elkan_sym(a, b, jaro_winkler)` on the same tokens, bit for
 /// bit. One pattern-match table over `b`'s concatenated tokens serves
-/// every token pair. Jaro-Winkler is symmetric bit for bit, so each token
-/// pair is scored once and feeds both directions: its row's best for
-/// `ME(a, b)` and its column's best for `ME(b, a)`, each folded in the
-/// order the two-pass version folds it.
+/// every token pair, and Jaro-Winkler is symmetric bit for bit, so
+/// [`monge_elkan_fold`] scores each token pair once for both directions.
 pub fn monge_elkan_jaro_winkler(a: &TokenChars, b: &TokenChars) -> f64 {
-    if a.is_empty() || b.is_empty() {
-        return if a.is_empty() && b.is_empty() {
-            1.0
-        } else {
-            0.0
-        };
-    }
     with_scratch(|s| {
         let words = b.chars.len().div_ceil(64);
         let table = build_table(&b.chars, words, &mut s.table, &mut s.side);
         s.bits.clear();
-        s.bits
-            .resize(words + a.longest().div_ceil(64) + b.len(), 0.0f64.to_bits());
-        let (b_used, rest) = s.bits.split_at_mut(words);
-        let (a_used, col_best) = rest.split_at_mut(rest.len() - b.len());
-        let mut total_a = 0.0;
-        for i in 0..a.len() {
-            let ta = &a.chars[a.span(i)];
-            let mut best = 0.0f64;
-            for (j, col) in col_best.iter_mut().enumerate() {
-                let span = b.span(j);
-                let tb = &b.chars[span.clone()];
-                let jw = jaro_kernel(ta, &b.chars, span, &table, b_used, a_used);
-                let s = winkler_boost(jw, ta, tb);
-                best = best.max(s);
-                *col = f64::from_bits(*col).max(s).to_bits();
-            }
-            total_a += best;
-        }
-        let total_b = col_best.iter().fold(0.0, |acc, &c| acc + f64::from_bits(c));
-        (total_a / a.len() as f64).min(total_b / b.len() as f64)
+        s.bits.resize(words + a.longest().div_ceil(64), 0);
+        let (b_used, a_used) = s.bits.split_at_mut(words);
+        monge_elkan_fold(a.len(), b.len(), |i, j| {
+            let (ta, span) = (a.token(i), b.span(j));
+            let tb = &b.chars[span.clone()];
+            let jw = jaro_kernel(ta, &b.chars, span, &table, b_used, a_used);
+            winkler_boost(jw, ta, tb)
+        })
     })
 }
 
@@ -965,8 +1017,9 @@ mod tests {
         .boxed()
     }
 
-    /// Token lists of up to 6 and up to 24 tokens, ASCII or not, and lists
-    /// of tokens up to 90 chars long, so a token pair can pass one word.
+    /// Token lists of up to 6 and up to 24 tokens, ASCII or not, lists of
+    /// 65–80 tokens (past the fold's stack of column bests), and lists of
+    /// tokens up to 90 chars long, so a token pair can pass one word.
     /// The last draw puts such a token late in `b`'s concatenation, where
     /// only a window measured from the token's own start keeps `a`'s
     /// trailing `a`s away from `b`'s leading ones.
@@ -980,6 +1033,8 @@ mod tests {
             (vec("[abc]{0,6}", 0..6), vec("[abc]{0,12}", 0..24)),
             (vec("[abcé本]{0,6}", 0..6), vec("[abcé本]{0,12}", 0..24)),
             (vec("[abcé本]{0,12}", 0..24), vec("[abcé本]{0,6}", 0..6)),
+            (vec("[abc]{0,4}", 0..6), vec("[abcé]{1,4}", 65..80)),
+            (vec("[abcé]{1,4}", 65..80), vec("[abc]{0,4}", 0..6)),
             (vec("[ab]{0,90}", 1..5), vec("[abé]{0,90}", 1..5)),
             late,
         ]
@@ -1269,6 +1324,44 @@ mod tests {
                 monge_elkan_sym(&a, &b, jaro_winkler).to_bits(),
                 want.to_bits()
             );
+        }
+
+        /// One table over `b` scoring a list of strings equals the oracle
+        /// per string bit for bit — with strings of 0–200 chars in any
+        /// order, so a long string's match flags precede a short one's.
+        #[test]
+        fn jaro_winkler_many_matches_oracle_bit_exactly(
+            b in "[abcé本 ]{0,90}",
+            a in proptest::collection::vec(
+                prop_oneof!["[abcé本 ]{0,12}", "[abé]{60,200}", "[ab]{0,90}"],
+                0..8,
+            ),
+        ) {
+            let b_chars: Vec<char> = b.chars().collect();
+            let a_chars: Vec<Vec<char>> = a.iter().map(|t| t.chars().collect()).collect();
+            let slices: Vec<&[char]> = a_chars.iter().map(Vec::as_slice).collect();
+            let mut out = vec![f64::NAN; a.len()];
+            jaro_winkler_many(&slices, &b_chars, &mut out);
+            for (t, got) in a.iter().zip(&out) {
+                prop_assert_eq!(got.to_bits(), oracle::jaro_winkler(t, &b).to_bits(), "{:?}", t);
+            }
+        }
+
+        /// The shared fold over a score matrix — `b`'s tokens by `a`'s,
+        /// each column from one `jaro_winkler_many` table — equals the
+        /// per-pair kernel and the oracle bit for bit.
+        #[test]
+        fn monge_elkan_fold_over_a_matrix_matches_the_kernel((a, b) in token_pairs()) {
+            let (ta, tb) = (TokenChars::new(&a), TokenChars::new(&b));
+            let left: Vec<&[char]> = (0..ta.len()).map(|i| ta.token(i)).collect();
+            let mut matrix = vec![0.0; ta.len() * tb.len()];
+            for (j, column) in matrix.chunks_exact_mut(ta.len().max(1)).enumerate() {
+                jaro_winkler_many(&left, tb.token(j), column);
+            }
+            let folded = monge_elkan_fold(ta.len(), tb.len(), |i, j| matrix[j * ta.len() + i]);
+            let want = oracle::monge_elkan(&a, &b).min(oracle::monge_elkan(&b, &a));
+            prop_assert_eq!(folded.to_bits(), monge_elkan_jaro_winkler(&ta, &tb).to_bits());
+            prop_assert_eq!(folded.to_bits(), want.to_bits());
         }
 
         /// Calls of different lengths and measures interleaved on one

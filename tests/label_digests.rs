@@ -19,6 +19,7 @@
 use panda::datasets::{generate, DatasetFamily, GeneratorConfig};
 use panda::prelude::*;
 use panda_bench::curated_lfs;
+use std::sync::Arc;
 
 /// `(family, matrix digest, posterior digest, score_pair digest)`.
 const PINNED: [(DatasetFamily, u64, u64, u64); 7] = [
@@ -117,6 +118,108 @@ fn curated_and_auto_lfs_label_bit_identically_on_every_family() {
                 got.0, got.1, got.2
             ));
         }
+    }
+    assert!(
+        mismatches.is_empty(),
+        "digests moved; actual rows:\n{}",
+        mismatches.join("\n")
+    );
+}
+
+/// `(batch, authors_me column digest, deploy posterior digest)` for
+/// perfbench's `deploy_batch` at seed 1: fresh dblp-scholar batches of
+/// 200 entities deployed from a 100-entity curated development session.
+/// Monge-Elkan repeats tokens across a batch's candidates, so
+/// `authors_me` votes from its token-vocabulary matrix here.
+const PINNED_DEPLOY: [(u64, u64, u64); 3] = [
+    (1, 0x27907e14baa19da5, 0xf3e2d5caf2204b0c),
+    (2, 0xd664bb4035fb6578, 0xce0a0183d074b26f),
+    (3, 0xefc1012da43925e5, 0x929e630fa91fc86f),
+];
+
+/// `(authors_me column digest, posterior digest)` of the
+/// `examples/bibliographic.rs` Cora-style self-join: one citation table
+/// on both sides, so the two token vocabularies coincide.
+const PINNED_SELF_JOIN: (u64, u64) = (0x217347a0f1c4cb58, 0xad0170330d8d3140);
+
+fn column_digest(matrix: &LabelMatrix, name: &str) -> u64 {
+    let column = matrix.column(name).expect("column applied");
+    fnv(column.into_iter().map(f64::from))
+}
+
+/// perfbench's `deploy_batch` batch `i` for seed `seed`.
+fn deploy_input(seed: u64, i: u64) -> TablePair {
+    let derived = seed ^ (i + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    generate(
+        DatasetFamily::DblpScholar,
+        &GeneratorConfig::new(derived).with_entities(200),
+    )
+}
+
+#[test]
+fn deployed_monge_elkan_votes_and_posteriors_are_bit_identical() {
+    // The development session `deploy_batch` deploys from: seed 1, auto
+    // LFs off, the curated LFs added one by one, the two-table
+    // transitive model.
+    let seed = 1;
+    let dev = generate(
+        DatasetFamily::DblpScholar,
+        &GeneratorConfig::new(seed).with_entities(100),
+    );
+    let config = SessionConfig {
+        seed,
+        auto_lfs: false,
+        model: ModelChoice::PandaTransitive(TransitivityMode::TwoTable),
+        ..SessionConfig::default()
+    };
+    let mut session = PandaSession::load(dev, config);
+    for lf in curated_lfs(DatasetFamily::DblpScholar) {
+        session
+            .upsert_lf_incremental(lf)
+            .expect("curated LF applies");
+    }
+    session.fit();
+    let mut mismatches = Vec::new();
+    for (i, column, posterior) in PINNED_DEPLOY {
+        let batch = deploy_input(seed, i);
+        let deployed = session.deploy(&batch);
+        let mut matrix = LabelMatrix::new();
+        matrix.apply(session.registry(), &batch, &deployed.candidates);
+        let got = (
+            column_digest(&matrix, "authors_me"),
+            fnv(deployed.posteriors.iter().copied()),
+        );
+        if got != (column, posterior) {
+            mismatches.push(format!("({i}, 0x{:016x}, 0x{:016x}),", got.0, got.1));
+        }
+    }
+
+    // The example's dedup session: its LFs in its order, auto LFs on.
+    let dedup = generate(
+        DatasetFamily::CoraDedup,
+        &GeneratorConfig::new(42)
+            .with_entities(120)
+            .with_right_dups(5),
+    );
+    let mut session = PandaSession::load(
+        dedup,
+        SessionConfig {
+            model: ModelChoice::PandaTransitive(TransitivityMode::SelfJoin),
+            ..SessionConfig::default()
+        },
+    );
+    let curated = curated_lfs(DatasetFamily::CoraDedup);
+    for name in ["title_3gram", "title_overlap", "authors_me", "year_unmatch"] {
+        let lf = curated.iter().find(|lf| lf.name() == name).expect("bib LF");
+        session.upsert_lf(Arc::clone(lf));
+    }
+    session.apply();
+    let got = (
+        column_digest(session.matrix(), "authors_me"),
+        fnv(session.posteriors().iter().copied()),
+    );
+    if got != PINNED_SELF_JOIN {
+        mismatches.push(format!("self-join: (0x{:016x}, 0x{:016x})", got.0, got.1));
     }
     assert!(
         mismatches.is_empty(),

@@ -149,6 +149,49 @@ fn snapshot_covers_the_pipeline_and_serializes() {
         );
     }
 
+    // ── Monge-Elkan work: a dblp-scholar session's `authors_me` repeats
+    // author tokens across its candidates, so its prepare scores each
+    // distinct token pair once, in a vocabulary matrix with fewer cells
+    // than the per-pair kernel's token pairs. The counters also render
+    // and parse as Prometheus counters.
+    obs::reset();
+    let tables = generate(
+        DatasetFamily::DblpScholar,
+        &GeneratorConfig::new(5).with_entities(80),
+    );
+    let mut session = PandaSession::load(
+        tables,
+        SessionConfig {
+            auto_lfs: false,
+            ..SessionConfig::default()
+        },
+    );
+    for lf in panda_bench::curated_lfs(DatasetFamily::DblpScholar) {
+        session.upsert_lf(lf);
+    }
+    session.apply();
+    let me = obs::snapshot();
+    let counter = |name: &str| me.counters.get(name).copied();
+    let token_pairs = counter("lf.me.token_pairs").expect("lf.me.token_pairs counted");
+    let cells = counter("lf.me.matrix_cells").expect("lf.me.matrix_cells counted");
+    assert!(
+        0 < cells && cells < token_pairs,
+        "matrix cells {cells} vs token pairs {token_pairs}"
+    );
+    assert_eq!(counter("lf.me.per_pair"), None, "no per-pair prepare");
+    for name in ["lf.me.token_pairs", "lf.me.matrix_cells", "lf.me.per_pair"] {
+        assert!(obs::is_valid_metric_name(name), "{name}");
+    }
+    let families = obs::prom::parse(&me.to_prometheus()).expect("exposition parses");
+    for name in ["lf_me_token_pairs_total", "lf_me_matrix_cells_total"] {
+        assert!(
+            families
+                .iter()
+                .any(|f| f.name == name && f.kind == "counter"),
+            "{name} exposed"
+        );
+    }
+
     // reset() empties the registry; with obs disabled nothing records.
     obs::reset();
     obs::set_enabled(false);
