@@ -1,13 +1,13 @@
 //! **Bench-regression gate** — the CI half of the committed
 //! `BENCH_autolf.json` / `BENCH_emfit.json` / `BENCH_lfapply.json` /
-//! `BENCH_blocking.json` / `BENCH_serve.json` baselines (see
-//! `.github/workflows/ci.yml`).
+//! `BENCH_blocking.json` / `BENCH_panels.json` / `BENCH_serve.json`
+//! baselines (see `.github/workflows/ci.yml`).
 //!
-//! Times the `p2_autolf_grid`, `p3_em_fit`, `p4_lf_apply` and
-//! `p5_blocking` workloads, each case on its own input and on one compute
-//! worker, and holds them against their `BENCH_autolf.json`,
-//! `BENCH_emfit.json`, `BENCH_lfapply.json` and `BENCH_blocking.json`
-//! `after.ns_per_iter` lines. A case fails when its mean exceeds
+//! Times the `p2_autolf_grid`, `p3_em_fit`, `p4_lf_apply`, `p5_blocking`
+//! and `p6_panels` workloads, each case on its own input and on one
+//! compute worker, and holds them against their `BENCH_autolf.json`,
+//! `BENCH_emfit.json`, `BENCH_lfapply.json`, `BENCH_blocking.json` and
+//! `BENCH_panels.json` `after.ns_per_iter` lines. A case fails when its mean exceeds
 //! `baseline × 1.25 × PANDA_BENCH_GATE_SLACK` (slack defaults to 1.0;
 //! CI sets it higher to absorb shared-runner noise). It then boots an
 //! in-process `panda-serve` and drives a short keep-alive `/healthz`
@@ -445,16 +445,18 @@ fn main() -> ExitCode {
     let limit_factor = THRESHOLD * slack;
     println!("bench_gate: threshold {THRESHOLD}x, slack {slack}x (PANDA_BENCH_GATE_SLACK)");
 
-    // Auto-LF grid, EM-fit, LF-application and blocking gates: the grid
-    // runs, the planted and refit label-model fits, full apply,
-    // incremental add_column and the deploy and load blocking calls must
-    // hold the BENCH_autolf.json, BENCH_emfit.json, BENCH_lfapply.json
-    // and BENCH_blocking.json lines, each timed on its own input. With
-    // telemetry on, so the lines also bound the spans' cost.
+    // Auto-LF grid, EM-fit, LF-application, blocking and panel gates:
+    // the grid runs, the planted and refit label-model fits, full apply,
+    // incremental add_column, the deploy and load blocking calls and the
+    // Step-4 panel refresh and journaled refit must hold the
+    // BENCH_autolf.json, BENCH_emfit.json, BENCH_lfapply.json,
+    // BENCH_blocking.json and BENCH_panels.json lines, each timed on its
+    // own input. With telemetry on, so the lines also bound the spans'
+    // cost.
     panda_bench::init_obs();
     let mut failed = false;
     {
-        use panda_bench::{autolf, blocking, emfit, lfapply};
+        use panda_bench::{autolf, blocking, emfit, lfapply, panels};
         let [abt, walmart, ide] = autolf::cases();
         failed |= !hold_one_worker_lines(
             "BENCH_autolf.json",
@@ -508,6 +510,16 @@ fn main() -> ExitCode {
             &[
                 (&deploy.name, &|n| deploy.time(n)),
                 (&load.name, &|n| load.time(n)),
+            ],
+            limit_factor,
+        );
+        let (refresh, refit) = (panels::panels_case(), panels::refit_journaled_case());
+        failed |= !hold_one_worker_lines(
+            "BENCH_panels.json",
+            "panels",
+            &[
+                (&refresh.name, &|n| refresh.time(n)),
+                (&refit.name, &|n| refit.time(n)),
             ],
             limit_factor,
         );

@@ -8,7 +8,8 @@
 use panda_bench::write_csv;
 use panda_datasets::{generate, DatasetFamily, GeneratorConfig};
 use panda_eval::TextTable;
-use panda_lf::{ExtractionLf, LabelMatrix, LfRegistry, SimilarityLf};
+use panda_lf::matrix::{mask_where, vote_masks};
+use panda_lf::{ExtractionLf, LabelMatrix, LfRegistry, PackedVotes, SimilarityLf};
 use panda_table::TablePair;
 use panda_text::SimilarityConfig;
 use std::sync::Arc;
@@ -55,8 +56,7 @@ fn main() {
         "acc_of_-1",
     ]);
     for name in ["name_overlap", "size_unmatch"] {
-        let col = matrix.column(name).unwrap();
-        let stats = vote_accuracy(&col, &gold);
+        let stats = vote_accuracy(matrix.packed_column(name).unwrap(), &gold);
         table.row(&[
             name.to_string(),
             format!("{:.3}", stats.coverage),
@@ -87,26 +87,24 @@ struct VoteAccuracy {
     neg_acc: f64,
 }
 
-fn vote_accuracy(col: &[i8], gold: &[bool]) -> VoteAccuracy {
+/// Vote counts and per-polarity accuracy against gold, as popcounts of
+/// the packed column's `+1`/`−1` lane masks and the gold mask.
+fn vote_accuracy(votes: &PackedVotes, gold: &[bool]) -> VoteAccuracy {
+    let n = votes.len();
     let mut pos = 0usize;
     let mut pos_ok = 0usize;
     let mut neg = 0usize;
     let mut neg_ok = 0usize;
-    for (&v, &g) in col.iter().zip(gold) {
-        if v > 0 {
-            pos += 1;
-            if g {
-                pos_ok += 1;
-            }
-        } else if v < 0 {
-            neg += 1;
-            if !g {
-                neg_ok += 1;
-            }
-        }
+    for (w, &word) in votes.words().iter().enumerate() {
+        let (p, q) = vote_masks(word);
+        let g = mask_where(n, w, |i| gold[i]);
+        pos += p.count_ones() as usize;
+        pos_ok += (p & g).count_ones() as usize;
+        neg += q.count_ones() as usize;
+        neg_ok += (q & !g).count_ones() as usize;
     }
     VoteAccuracy {
-        coverage: (pos + neg) as f64 / col.len().max(1) as f64,
+        coverage: (pos + neg) as f64 / n.max(1) as f64,
         pos,
         neg,
         pos_acc: if pos == 0 {

@@ -706,6 +706,121 @@ pub mod emfit {
     }
 }
 
+/// The `BENCH_panels.json` workloads, shared by `benches/p6_panels.rs`
+/// and `bench_gate` so both time exactly the same calls.
+pub mod panels {
+    use panda_datasets::{generate, DatasetFamily, GeneratorConfig};
+    use panda_session::{sampling, DebugQuery, PandaSession, SessionConfig};
+    use std::cell::RefCell;
+    use std::hint::black_box;
+    use std::time::{Duration, Instant};
+
+    /// One timed Step-4 refresh on an `ide_loop`-style session.
+    pub struct Case {
+        /// Case key in `BENCH_panels.json` (`panels/…` or
+        /// `refit_journaled/…`).
+        pub name: String,
+        session: RefCell<PandaSession>,
+        /// The sampler likelihood per candidate, read once off the clock.
+        likelihood: Vec<f64>,
+    }
+
+    /// An `ide_loop`-style session: abt-buy 300 at seed 1, auto LFs, then
+    /// the curated LFs and a refit.
+    fn ide_session() -> PandaSession {
+        let tables = generate(
+            DatasetFamily::AbtBuy,
+            &GeneratorConfig::new(1).with_entities(300),
+        );
+        let config = SessionConfig {
+            seed: 1,
+            ..SessionConfig::default()
+        };
+        let mut session = PandaSession::load(tables, config);
+        for lf in super::curated_lfs(DatasetFamily::AbtBuy) {
+            session.upsert_lf(lf);
+        }
+        session.apply();
+        session
+    }
+
+    fn case(kind: &str) -> Case {
+        let session = ide_session();
+        let likelihood = (0..session.candidates().len())
+            .map(|i| {
+                session
+                    .viewer_row(i)
+                    .likelihood
+                    .expect("sampler likelihood")
+            })
+            .collect();
+        Case {
+            name: format!("{kind}/abt_buy_300e"),
+            session: RefCell::new(session),
+            likelihood,
+        }
+    }
+
+    /// The panels perfbench's `session.panels` span refreshes after each
+    /// `ide_loop` edit: `lf_stats`, `em_stats`,
+    /// `debug_pairs(name_overlap, LikelyFalsePositives, 10)` and a
+    /// `smart_sample(10)` click. The click runs as the session runs it
+    /// (the sampler, then ten viewer rows) over a fixed empty `shown`
+    /// mask, so every iteration ranks the same pairs.
+    pub fn panels_case() -> Case {
+        case("panels")
+    }
+
+    /// A warm `fit()` with the journal recording, as every fit in
+    /// `panda serve` runs: EM, then one `lf.stats` event per LF.
+    pub fn refit_journaled_case() -> Case {
+        case("refit_journaled")
+    }
+
+    impl Case {
+        /// Candidate pairs of the session.
+        pub fn pairs(&self) -> usize {
+            self.session.borrow().candidates().len()
+        }
+
+        /// Wall time of `iters` runs of the case's calls.
+        pub fn time(&self, iters: u64) -> Duration {
+            let mut session = self.session.borrow_mut();
+            if self.name.starts_with("refit_journaled/") {
+                let was_on = panda_obs::journal_enabled();
+                panda_obs::set_journal_enabled(true);
+                let started = Instant::now();
+                for _ in 0..iters {
+                    session.fit();
+                }
+                let elapsed = started.elapsed();
+                panda_obs::set_journal_enabled(was_on);
+                return elapsed;
+            }
+            let shown = vec![false; self.likelihood.len()];
+            let started = Instant::now();
+            for _ in 0..iters {
+                black_box(session.lf_stats());
+                black_box(session.em_stats());
+                black_box(session.debug_pairs(
+                    "name_overlap",
+                    DebugQuery::LikelyFalsePositives,
+                    10,
+                ));
+                let picked =
+                    sampling::smart_sample(&self.likelihood, session.posteriors(), &shown, 10);
+                black_box(
+                    picked
+                        .into_iter()
+                        .map(|i| session.viewer_row(i))
+                        .collect::<Vec<_>>(),
+                );
+            }
+            started.elapsed()
+        }
+    }
+}
+
 /// Mean of a slice.
 pub fn mean(xs: &[f64]) -> f64 {
     if xs.is_empty() {

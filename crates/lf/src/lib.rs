@@ -63,6 +63,8 @@ pub use builders::{
 pub use label::Label;
 pub use lf::{BoxedLf, LabelingFunction, LfRegistry};
 pub use library::{address_matcher, phone_matcher};
-pub use matrix::{ApplyReport, ColumnSnapshot, LabelMatrix, PackedVotes, VOTES_PER_WORD};
+pub use matrix::{
+    ApplyReport, ColumnSnapshot, LabelMatrix, PackedVotes, WordUnion, VOTES_PER_WORD,
+};
 pub use prepared::{label_records, prepare_records, PreparedLf, RecordKernel};
 pub use stats::{lf_stats, LfStatsRow};

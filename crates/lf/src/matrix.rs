@@ -115,13 +115,72 @@ impl PackedVotes {
         let mut m = 0usize;
         let mut u = 0usize;
         for &w in &self.words {
-            let lo = w & LO_MASK;
-            let hi = (w >> 1) & LO_MASK;
-            m += (lo & !hi).count_ones() as usize;
-            u += (hi & !lo).count_ones() as usize;
+            let (pos, neg) = vote_masks(w);
+            m += pos.count_ones() as usize;
+            u += neg.count_ones() as usize;
         }
         (m, u, self.len - m - u)
     }
+}
+
+/// The `+1` and `−1` lane masks of one packed word: bit `2·l` of the
+/// first is set when lane `l` votes match, of the second when it votes
+/// non-match. Every mask the panels combine (unions, gold, model
+/// decisions) uses this layout, so they meet with plain `&`/`|`.
+#[inline]
+pub fn vote_masks(word: u64) -> (u64, u64) {
+    let lo = word & LO_MASK;
+    let hi = (word >> 1) & LO_MASK;
+    (lo & !hi, hi & !lo)
+}
+
+/// The lanes of word `w` that hold a vote of an `n`-vote column: bit
+/// `2·l` set for every lane with `32·w + l < n`. Only the final word has
+/// unused lanes; a complement (`abstained = lanes & !voted`) must be
+/// masked by this, since tail lanes read as abstain.
+#[inline]
+pub fn lane_mask(n: usize, w: usize) -> u64 {
+    let lanes = n.saturating_sub(w * VOTES_PER_WORD).min(VOTES_PER_WORD);
+    if lanes == VOTES_PER_WORD {
+        LO_MASK
+    } else {
+        LO_MASK & ((1u64 << (2 * lanes)) - 1)
+    }
+}
+
+/// The pair indices of the set lanes of mask `m` in word `w`, ascending.
+#[inline]
+pub fn lane_indices(w: usize, mut m: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (m != 0).then(|| {
+            let bit = m.trailing_zeros() as usize;
+            m &= m - 1;
+            w * VOTES_PER_WORD + bit / 2
+        })
+    })
+}
+
+/// The lanes of word `w` whose pair index satisfies `pred`, in the
+/// vote-mask layout (bit `2·l` for pair `32·w + l`); lanes at or past
+/// `n` stay clear. How a per-pair fact (gold, the model's decision) meets
+/// the vote masks.
+#[inline]
+pub fn mask_where(n: usize, w: usize, pred: impl Fn(usize) -> bool) -> u64 {
+    let start = (w * VOTES_PER_WORD).min(n);
+    let end = (start + VOTES_PER_WORD).min(n);
+    (start..end).fold(0, |m, i| m | (u64::from(pred(i)) << (2 * (i - start))))
+}
+
+/// The union lane masks of one matrix word over every column (see
+/// [`LabelMatrix::word_union`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WordUnion {
+    /// Lanes at least one LF votes `+1` on.
+    pub pos: u64,
+    /// Lanes at least one LF votes `−1` on.
+    pub neg: u64,
+    /// Lanes at least two LFs vote on.
+    pub two: u64,
 }
 
 /// One LF's votes over the candidate set.
@@ -204,6 +263,27 @@ impl LabelMatrix {
     /// Iterate `(lf name, packed votes)` in registry order (hot paths).
     pub fn packed_columns(&self) -> impl Iterator<Item = (&str, &PackedVotes)> {
         self.columns.iter().map(|c| (c.name.as_str(), &c.votes))
+    }
+
+    /// Packed words per column (`⌈pairs / 32⌉`).
+    pub fn n_words(&self) -> usize {
+        self.n_pairs.div_ceil(VOTES_PER_WORD)
+    }
+
+    /// The union lane masks of word `w` over every column: which lanes
+    /// some LF votes `+1` on, `−1` on, and which at least two LFs vote on.
+    pub fn word_union(&self, w: usize) -> WordUnion {
+        let mut u = WordUnion::default();
+        let mut one = 0u64;
+        for c in &self.columns {
+            let (pos, neg) = vote_masks(c.votes.words[w]);
+            let voted = pos | neg;
+            u.pos |= pos;
+            u.neg |= neg;
+            u.two |= one & voted;
+            one |= voted;
+        }
+        u
     }
 
     /// The votes of all LFs on pair `i` (registry order).

@@ -26,6 +26,8 @@ pub mod persist;
 pub mod sampling;
 pub mod scale;
 pub mod session;
+#[cfg(test)]
+mod testutil;
 
 pub use debug::DebugQuery;
 pub use events::SessionEvent;

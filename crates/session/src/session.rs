@@ -1,7 +1,7 @@
 //! The session object: state machine of the development & deployment
 //! phases.
 
-use crate::debug::{run_query, DebugQuery};
+use crate::debug::{disagreement_counts, run_query, DebugQuery};
 use crate::events::{EventLog, SessionEvent};
 use crate::panels::{DataViewerRow, EmStats, SessionSnapshot};
 use crate::persist::{self, SessionState};
@@ -14,7 +14,7 @@ use panda_lf::{lf_stats, ApplyReport, BoxedLf, LabelMatrix, LfRegistry, LfStatsR
 use panda_model::{LabelModel, MajorityVote, PandaModel, SnorkelModel, TransitivityMode};
 use panda_table::{CandidateSet, MatchSet, TablePair};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Which labeling model the session runs after each apply.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -106,6 +106,11 @@ pub struct PandaSession {
     candidates: CandidateSet,
     /// Embedding cosine per candidate — the sampler's "likelihood".
     likelihood: Vec<f64>,
+    /// Gold truth per candidate, when the tables carry it. Tables and
+    /// candidates never change after `load`/`rehydrate`, so it is
+    /// computed once, on first use (load itself shows no panel), rather
+    /// than per panel refresh.
+    gold: OnceLock<Option<Vec<bool>>>,
     registry: LfRegistry,
     matrix: LabelMatrix,
     posteriors: Vec<f64>,
@@ -133,6 +138,21 @@ impl PandaSession {
         (candidates, cosines.into_iter().map(f64::from).collect())
     }
 
+    /// Gold truth per candidate, when the tables carry gold.
+    fn gold(&self) -> Option<&[bool]> {
+        self.gold
+            .get_or_init(|| {
+                self.tables.gold.as_ref().map(|gold| {
+                    self.candidates
+                        .pairs()
+                        .iter()
+                        .map(|p| gold.contains(p))
+                        .collect()
+                })
+            })
+            .as_deref()
+    }
+
     /// Step 1: load a dataset — block, discover auto LFs, apply, fit.
     pub fn load(tables: TablePair, config: SessionConfig) -> Self {
         let _span = panda_obs::span("session.load");
@@ -142,6 +162,7 @@ impl PandaSession {
             shown: vec![false; candidates.len()],
             posteriors: vec![0.0; candidates.len()],
             likelihood,
+            gold: OnceLock::new(),
             registry: LfRegistry::new(),
             matrix: LabelMatrix::new(),
             user_labels: HashMap::new(),
@@ -335,20 +356,15 @@ impl PandaSession {
 
     /// Journal provenance after each refit: one `lf.stats` event per LF
     /// — coverage/overlap/conflict plus the LF-vs-model disagreement
-    /// counts the IDE's debugging panel is built on. The disagreement
-    /// queries cost O(pairs) per LF, so nothing runs when no journal is
-    /// recording.
+    /// counts the IDE's debugging panel is built on (popcounts over the
+    /// packed matrix; see [`disagreement_counts`]). Nothing runs when no
+    /// journal is recording.
     fn journal_lf_stats(&self) {
         if !panda_obs::journal_enabled() {
             return;
         }
-        let owned: Vec<Vec<i8>> = self.matrix.columns().map(|(_, c)| c).collect();
-        let all: Vec<&[i8]> = owned.iter().map(|c| c.as_slice()).collect();
-        for row in self.lf_stats() {
-            let Some(col) = self.matrix.column(&row.name) else {
-                continue;
-            };
-            let count = |q| run_query(q, &col, &all, &self.posteriors).len();
+        let counts = disagreement_counts(&self.matrix, &self.posteriors);
+        for (row, [fps, fns, conflicts]) in self.lf_stats().into_iter().zip(counts) {
             let mut ev = panda_obs::event("lf.stats")
                 .field("lf", row.name.as_str())
                 .field("n_match", row.n_match)
@@ -357,9 +373,9 @@ impl PandaSession {
                 .field("coverage", row.coverage)
                 .field("overlap", row.overlap)
                 .field("conflict", row.conflict)
-                .field("model_disagree_fp", count(DebugQuery::LikelyFalsePositives))
-                .field("model_disagree_fn", count(DebugQuery::LikelyFalseNegatives))
-                .field("conflict_pairs", count(DebugQuery::Conflicts));
+                .field("model_disagree_fp", fps)
+                .field("model_disagree_fn", fns)
+                .field("conflict_pairs", conflicts);
             if let Some(x) = row.est_fpr {
                 ev = ev.field("est_fpr", x);
             }
@@ -401,8 +417,7 @@ impl PandaSession {
     /// The LF Stats Panel (model-estimated FPR/FNR; true rates included
     /// when the task carries gold).
     pub fn lf_stats(&self) -> Vec<LfStatsRow> {
-        let gold = self.gold_vector();
-        lf_stats(&self.matrix, Some(&self.posteriors), gold.as_deref())
+        lf_stats(&self.matrix, Some(&self.posteriors), self.gold())
     }
 
     /// Step 2: the "Show" button — smart-sample up to `k` likely matches
@@ -434,9 +449,7 @@ impl PandaSession {
     /// Disagreement sampling: up to `k` unseen pairs where LFs conflict —
     /// the Step-4 debugging material.
     pub fn disagreement_sample(&mut self, k: usize) -> Vec<DataViewerRow> {
-        let owned: Vec<Vec<i8>> = self.matrix.columns().map(|(_, c)| c).collect();
-        let cols: Vec<&[i8]> = owned.iter().map(|c| c.as_slice()).collect();
-        let picked = sampling::disagreement_sample(&cols, &self.shown, k);
+        let picked = sampling::disagreement_sample(&self.matrix, &self.shown, k);
         for &i in &picked {
             self.shown[i] = true;
         }
@@ -471,14 +484,8 @@ impl PandaSession {
         query: DebugQuery,
         limit: usize,
     ) -> Vec<DataViewerRow> {
-        let Some(col) = self.matrix.column(lf_name) else {
-            return Vec::new();
-        };
-        let owned: Vec<Vec<i8>> = self.matrix.columns().map(|(_, c)| c).collect();
-        let all: Vec<&[i8]> = owned.iter().map(|c| c.as_slice()).collect();
-        run_query(query, &col, &all, &self.posteriors)
+        run_query(query, &self.matrix, lf_name, &self.posteriors, limit)
             .into_iter()
-            .take(limit)
             .map(|i| self.viewer_row(i))
             .collect()
     }
@@ -559,8 +566,7 @@ impl PandaSession {
 
     /// Quality of the current posteriors against gold (benchmarks only).
     pub fn current_metrics(&self) -> Option<Metrics> {
-        self.gold_vector()
-            .map(|gv| metrics_at_half(&self.posteriors, &gv))
+        self.gold().map(|gv| metrics_at_half(&self.posteriors, gv))
     }
 
     /// Build one Data Viewer row.
@@ -600,13 +606,7 @@ impl PandaSession {
 
     /// The gold vector aligned with the candidate set, when present.
     pub fn gold_vector(&self) -> Option<Vec<bool>> {
-        self.tables.gold.as_ref().map(|gold| {
-            self.candidates
-                .pairs()
-                .iter()
-                .map(|p| gold.contains(p))
-                .collect()
-        })
+        self.gold().map(<[bool]>::to_vec)
     }
 
     // --- accessors used by experiments and front-ends ---
@@ -838,6 +838,7 @@ impl PandaSession {
         }
 
         Ok(PandaSession {
+            gold: OnceLock::new(),
             config,
             tables,
             candidates,
