@@ -25,8 +25,8 @@
 //!
 //! Run: `cargo run --release -p panda-bench --bin bench_gate`
 
+use panda_serve::client::{self, Client};
 use serde::Value;
-use std::io::{Read, Write};
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -189,80 +189,46 @@ fn measure_serve_healthz_rps(obs_on: bool) -> Result<f64, String> {
     })
     .map_err(|e| format!("cannot start server: {e}"))?;
     let addr = handle.addr();
+    let rps = burst(addr, GATE_CLIENTS, GATE_REQUESTS, "GET", "/healthz", "");
+    handle.shutdown();
+    handle.join();
+    rps
+}
+
+/// Drive `clients` closed-loop keep-alive clients of `requests` each
+/// (every answer must be a 200); returns requests per second.
+fn burst(
+    addr: std::net::SocketAddr,
+    clients: usize,
+    requests: usize,
+    method: &'static str,
+    path: &'static str,
+    body: &'static str,
+) -> Result<f64, String> {
     let started = std::time::Instant::now();
-    let clients: Vec<_> = (0..GATE_CLIENTS)
+    let threads: Vec<_> = (0..clients)
         .map(|_| {
             std::thread::spawn(move || -> Result<(), String> {
-                let mut stream =
-                    std::net::TcpStream::connect(addr).map_err(|e| format!("connect: {e}"))?;
-                let wire = b"GET /healthz HTTP/1.1\r\nHost: gate\r\nContent-Length: 0\r\n\r\n";
-                let mut buf = Vec::new();
-                let mut chunk = [0u8; 4096];
-                for _ in 0..GATE_REQUESTS {
-                    stream.write_all(wire).map_err(|e| format!("send: {e}"))?;
-                    // One Content-Length-framed 200 per request.
-                    loop {
-                        if let Some(end) = full_response_len(&buf) {
-                            if !buf.starts_with(b"HTTP/1.1 200") {
-                                return Err(format!(
-                                    "non-200: {:?}",
-                                    String::from_utf8_lossy(&buf[..end.min(64)])
-                                ));
-                            }
-                            buf.drain(..end);
-                            break;
-                        }
-                        let n = stream.read(&mut chunk).map_err(|e| format!("recv: {e}"))?;
-                        if n == 0 {
-                            return Err("server closed mid-burst".into());
-                        }
-                        buf.extend_from_slice(&chunk[..n]);
+                let mut client = Client::connect(addr, None).map_err(|e| e.to_string())?;
+                for _ in 0..requests {
+                    let reply = client
+                        .roundtrip(method, path, body)
+                        .map_err(|e| e.to_string())?;
+                    if reply.status != 200 {
+                        return Err(format!("{path}: {} {}", reply.status, reply.body));
                     }
                 }
                 Ok(())
             })
         })
         .collect();
-    let mut err = None;
-    for c in clients {
-        if let Err(e) = c.join().expect("gate client") {
-            err = Some(e);
-        }
-    }
+    let results: Vec<_> = threads
+        .into_iter()
+        .map(|t| t.join().expect("gate client"))
+        .collect();
     let elapsed = started.elapsed().as_secs_f64();
-    handle.shutdown();
-    handle.join();
-    match err {
-        Some(e) => Err(e),
-        None => Ok((GATE_CLIENTS * GATE_REQUESTS) as f64 / elapsed),
-    }
-}
-
-/// One-shot request on a fresh connection (topology setup, not timed).
-fn http_once(
-    addr: std::net::SocketAddr,
-    method: &str,
-    path: &str,
-    body: &str,
-) -> Result<(u16, String), String> {
-    let mut stream = std::net::TcpStream::connect(addr).map_err(|e| format!("connect: {e}"))?;
-    write!(
-        stream,
-        "{method} {path} HTTP/1.1\r\nHost: gate\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    )
-    .map_err(|e| format!("send: {e}"))?;
-    let mut raw = String::new();
-    stream
-        .read_to_string(&mut raw)
-        .map_err(|e| format!("recv: {e}"))?;
-    let status = raw
-        .split(' ')
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
-    let body = raw.split("\r\n\r\n").nth(1).unwrap_or_default().to_string();
-    Ok((status, body))
+    results.into_iter().collect::<Result<(), _>>()?;
+    Ok((clients * requests) as f64 / elapsed)
 }
 
 /// A small table pair for the replication gate — big enough that the
@@ -331,9 +297,9 @@ fn measure_lf_upsert_rps(replicated: bool) -> Result<f64, String> {
     );
     let lf = r#"{"name":"name_overlap","kind":"similarity","attr":"name","upper":0.5,"lower":0.1}"#;
     for (path, body) in [("/sessions", create.as_str()), ("/sessions/1/lfs", lf)] {
-        let (status, resp) = http_once(addr, "POST", path, body)?;
-        if status != 200 {
-            return Err(format!("POST {path}: {status} {resp}"));
+        let reply = client::request(addr, "POST", path, body, None).map_err(|e| e.to_string())?;
+        if reply.status != 200 {
+            return Err(format!("POST {path}: {} {}", reply.status, reply.body));
         }
     }
     if let Some(f) = &follower {
@@ -342,8 +308,9 @@ fn measure_lf_upsert_rps(replicated: bool) -> Result<f64, String> {
         // prefix.
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
         loop {
-            let (status, body) = http_once(f.addr(), "GET", "/sessions", "")?;
-            if status == 200 && body.contains("\"wal_seq\":2") {
+            let reply = client::request(f.addr(), "GET", "/sessions", "", None);
+            let body = reply.map_err(|e| e.to_string())?.body;
+            if body.contains("\"wal_seq\":2") {
                 break;
             }
             if std::time::Instant::now() >= deadline {
@@ -353,52 +320,14 @@ fn measure_lf_upsert_rps(replicated: bool) -> Result<f64, String> {
         }
     }
 
-    let started = std::time::Instant::now();
-    let clients: Vec<_> = (0..GATE_CLIENTS)
-        .map(|_| {
-            let lf = lf.to_string();
-            std::thread::spawn(move || -> Result<(), String> {
-                let mut stream =
-                    std::net::TcpStream::connect(addr).map_err(|e| format!("connect: {e}"))?;
-                let wire = format!(
-                    "POST /sessions/1/lfs HTTP/1.1\r\nHost: gate\r\nContent-Length: {}\r\n\r\n{lf}",
-                    lf.len()
-                );
-                let mut buf = Vec::new();
-                let mut chunk = [0u8; 4096];
-                for _ in 0..GATE_REQUESTS {
-                    stream
-                        .write_all(wire.as_bytes())
-                        .map_err(|e| format!("send: {e}"))?;
-                    loop {
-                        if let Some(end) = full_response_len(&buf) {
-                            if !buf.starts_with(b"HTTP/1.1 200") {
-                                return Err(format!(
-                                    "non-200: {:?}",
-                                    String::from_utf8_lossy(&buf[..end.min(64)])
-                                ));
-                            }
-                            buf.drain(..end);
-                            break;
-                        }
-                        let n = stream.read(&mut chunk).map_err(|e| format!("recv: {e}"))?;
-                        if n == 0 {
-                            return Err("server closed mid-burst".into());
-                        }
-                        buf.extend_from_slice(&chunk[..n]);
-                    }
-                }
-                Ok(())
-            })
-        })
-        .collect();
-    let mut err = None;
-    for c in clients {
-        if let Err(e) = c.join().expect("gate client") {
-            err = Some(e);
-        }
-    }
-    let elapsed = started.elapsed().as_secs_f64();
+    let rps = burst(
+        addr,
+        GATE_CLIENTS,
+        GATE_REQUESTS,
+        "POST",
+        "/sessions/1/lfs",
+        lf,
+    );
     primary.shutdown();
     primary.join();
     if let Some(f) = follower {
@@ -406,23 +335,7 @@ fn measure_lf_upsert_rps(replicated: bool) -> Result<f64, String> {
         f.join();
     }
     let _ = std::fs::remove_dir_all(&dir);
-    match err {
-        Some(e) => Err(e),
-        None => Ok((GATE_CLIENTS * GATE_REQUESTS) as f64 / elapsed),
-    }
-}
-
-/// If `buf` starts with one complete `Content-Length`-framed response,
-/// return its total length.
-fn full_response_len(buf: &[u8]) -> Option<usize> {
-    let head_end = buf.windows(4).position(|w| w == b"\r\n\r\n")? + 4;
-    let head = std::str::from_utf8(&buf[..head_end]).ok()?;
-    let content_length: usize = head
-        .lines()
-        .find_map(|l| l.strip_prefix("Content-Length: "))
-        .and_then(|v| v.trim().parse().ok())?;
-    let total = head_end + content_length;
-    (buf.len() >= total).then_some(total)
+    rps
 }
 
 fn gate_slack() -> f64 {

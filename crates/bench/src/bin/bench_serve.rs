@@ -28,9 +28,9 @@
 //!
 //! Run: `cargo run --release -p panda-bench --bin bench_serve`
 
+use panda_serve::client::{self, Client};
 use panda_serve::{Server, ServerConfig};
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::time::Instant;
 
 /// Closed-loop clients per case.
@@ -45,64 +45,16 @@ const PIPELINE_DEPTH: usize = 16;
 /// Batches per client for the pipelined case.
 const PIPELINE_BATCHES: usize = 125;
 
-/// One-shot request on a fresh connection (`Connection: close`).
-fn request(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    write!(
-        stream,
-        "{method} {path} HTTP/1.1\r\nHost: bench\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    )
-    .expect("send");
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).expect("recv");
-    let status = raw
-        .split(' ')
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
-    let body = raw.split("\r\n\r\n").nth(1).unwrap_or_default().to_string();
-    (status, body)
-}
-
-/// Incremental response reader over a persistent connection: buffers
-/// socket reads and splits out one `Content-Length`-framed response at a
-/// time (keep-alive clients cannot rely on EOF framing).
-struct RespReader {
-    buf: Vec<u8>,
-}
-
-impl RespReader {
-    fn new() -> RespReader {
-        RespReader { buf: Vec::new() }
+/// Create session 1 on `addr`, add one LF incrementally and fit.
+fn load_session(addr: SocketAddr, create: &str, lf: &str) {
+    for (path, body) in [
+        ("/sessions", create),
+        ("/sessions/1/lfs", lf),
+        ("/sessions/1/fit", ""),
+    ] {
+        let reply = client::request(addr, "POST", path, body, None).expect(path);
+        assert_eq!(reply.status, 200, "POST {path}: {}", reply.body);
     }
-
-    /// Read one full response off `stream`; returns its status code.
-    fn read_response(&mut self, stream: &mut TcpStream) -> u16 {
-        let mut chunk = [0u8; 16 * 1024];
-        loop {
-            if let Some((status, consumed)) = split_one(&self.buf) {
-                self.buf.drain(..consumed);
-                return status;
-            }
-            let n = stream.read(&mut chunk).expect("recv");
-            assert!(n > 0, "server closed mid-response");
-            self.buf.extend_from_slice(&chunk[..n]);
-        }
-    }
-}
-
-/// If `buf` starts with one complete response, return `(status, len)`.
-fn split_one(buf: &[u8]) -> Option<(u16, usize)> {
-    let head_end = buf.windows(4).position(|w| w == b"\r\n\r\n")? + 4;
-    let head = std::str::from_utf8(&buf[..head_end]).ok()?;
-    let status: u16 = head.split(' ').nth(1)?.parse().ok()?;
-    let content_length: usize = head
-        .lines()
-        .find_map(|l| l.strip_prefix("Content-Length: "))
-        .and_then(|v| v.trim().parse().ok())?;
-    let total = head_end + content_length;
-    (buf.len() >= total).then_some((status, total))
 }
 
 /// A product-matching table pair large enough that session requests do
@@ -178,8 +130,8 @@ fn run_case(
     mode: Mode,
 ) -> CaseResult {
     // Warm-up outside the measurement.
-    let (status, resp) = request(addr, method, &path, &body);
-    assert_eq!(status, 200, "{name}: {resp}");
+    let reply = client::request(addr, method, &path, &body, None).expect(name);
+    assert_eq!(reply.status, 200, "{name}: {}", reply.body);
 
     let started = Instant::now();
     let mut handles = Vec::new();
@@ -191,44 +143,35 @@ fn run_case(
                 let mut latencies_ns = Vec::with_capacity(REQUESTS_CONNCLOSE);
                 for _ in 0..REQUESTS_CONNCLOSE {
                     let t = Instant::now();
-                    let (status, _) = request(addr, method, &path, &body);
+                    let reply = client::request(addr, method, &path, &body, None).expect(name);
                     latencies_ns.push(t.elapsed().as_nanos() as u64);
-                    assert_eq!(status, 200, "{name}: non-200 under load");
+                    assert_eq!(reply.status, 200, "{name}: non-200 under load");
                 }
                 latencies_ns
             }
             Mode::KeepAlive => {
-                let mut stream = TcpStream::connect(addr).expect("connect");
-                let mut reader = RespReader::new();
-                let wire = format!(
-                    "{method} {path} HTTP/1.1\r\nHost: bench\r\nContent-Length: {}\r\n\r\n{body}",
-                    body.len()
-                );
+                let mut client = Client::connect(addr, None).expect("connect");
                 let mut latencies_ns = Vec::with_capacity(REQUESTS_KEEPALIVE);
                 for _ in 0..REQUESTS_KEEPALIVE {
                     let t = Instant::now();
-                    stream.write_all(wire.as_bytes()).expect("send");
-                    let status = reader.read_response(&mut stream);
+                    let reply = client.roundtrip(method, &path, &body).expect(name);
                     latencies_ns.push(t.elapsed().as_nanos() as u64);
-                    assert_eq!(status, 200, "{name}: non-200 under load");
+                    assert_eq!(reply.status, 200, "{name}: non-200 under load");
                 }
                 latencies_ns
             }
             Mode::Pipelined => {
-                let mut stream = TcpStream::connect(addr).expect("connect");
-                let mut reader = RespReader::new();
-                let one = format!(
-                    "{method} {path} HTTP/1.1\r\nHost: bench\r\nContent-Length: {}\r\n\r\n{body}",
-                    body.len()
-                );
-                let batch = one.repeat(PIPELINE_DEPTH);
+                let mut client = Client::connect(addr, None).expect("connect");
                 let mut latencies_ns = Vec::with_capacity(PIPELINE_BATCHES * PIPELINE_DEPTH);
                 for _ in 0..PIPELINE_BATCHES {
                     let t = Instant::now();
-                    stream.write_all(batch.as_bytes()).expect("send");
                     for _ in 0..PIPELINE_DEPTH {
-                        let status = reader.read_response(&mut stream);
-                        assert_eq!(status, 200, "{name}: non-200 under load");
+                        client.send(method, &path, &body);
+                    }
+                    // The first read writes the whole batch in one write.
+                    for _ in 0..PIPELINE_DEPTH {
+                        let reply = client.read_response().expect(name);
+                        assert_eq!(reply.status, 200, "{name}: non-200 under load");
                     }
                     let per_request = t.elapsed().as_nanos() as u64 / PIPELINE_DEPTH as u64;
                     latencies_ns.extend(std::iter::repeat_n(per_request, PIPELINE_DEPTH));
@@ -271,13 +214,8 @@ fn main() {
         serde_json::to_string(&left_csv).unwrap(),
         serde_json::to_string(&right_csv).unwrap()
     );
-    let (status, body) = request(addr, "POST", "/sessions", &create);
-    assert_eq!(status, 200, "create session: {body}");
     let lf = r#"{"name":"name_overlap","kind":"similarity","attr":"name","upper":0.5,"lower":0.1}"#;
-    let (status, body) = request(addr, "POST", "/sessions/1/lfs", lf);
-    assert_eq!(status, 200, "add lf: {body}");
-    let (status, body) = request(addr, "POST", "/sessions/1/fit", "");
-    assert_eq!(status, 200, "fit: {body}");
+    load_session(addr, &create, lf);
 
     let match_body = r#"{"session":1,"pairs":[[3,3]]}"#;
     let query_body = r#"{"lf":"name_overlap","query":"VotedMatch","limit":10}"#;
@@ -371,18 +309,14 @@ fn main() {
         .expect("start follower");
         let faddr = follower.addr();
 
-        let (status, body) = request(paddr, "POST", "/sessions", &create);
-        assert_eq!(status, 200, "create replicated session: {body}");
-        let (status, body) = request(paddr, "POST", "/sessions/1/lfs", lf);
-        assert_eq!(status, 200, "add lf (replicated): {body}");
-        let (status, body) = request(paddr, "POST", "/sessions/1/fit", "");
-        assert_eq!(status, 200, "fit (replicated): {body}");
+        load_session(paddr, &create, lf);
         // The follower must hold the full session (seq 3) before its
         // read case runs.
         let deadline = Instant::now() + std::time::Duration::from_secs(10);
         loop {
-            let (status, body) = request(faddr, "GET", "/sessions", "");
-            if status == 200 && body.contains("\"wal_seq\":3") {
+            let listing = client::request(faddr, "GET", "/sessions", "", None);
+            let body = listing.expect("follower listing").body;
+            if body.contains("\"wal_seq\":3") {
                 break;
             }
             assert!(
@@ -461,7 +395,7 @@ fn main() {
         println!("durable mode (PANDA_BENCH_STATE_DIR set): BENCH_serve.json left untouched");
     }
 
-    let (status, _) = request(addr, "POST", "/shutdown", "");
-    assert_eq!(status, 200);
+    let reply = client::request(addr, "POST", "/shutdown", "", None).expect("shutdown");
+    assert_eq!(reply.status, 200);
     handle.join();
 }

@@ -1,6 +1,7 @@
-//! Minimal HTTP/1.1 wire handling: an **incremental request parser**
-//! (drives the non-blocking event loop in [`crate::server`]) plus a
-//! blocking convenience reader for tests.
+//! Minimal HTTP/1.1 wire handling: the **framing rules** requests and
+//! responses share (`read_head`, also used by [`crate::client`]), an
+//! **incremental request parser** (drives the event loop in
+//! [`crate::server`]) and response serialization.
 //!
 //! Deliberately small, but no longer one-request-per-connection:
 //! **keep-alive and pipelining are supported**. HTTP/1.1 requests
@@ -24,11 +25,8 @@
 //! closed silently at the keep-alive deadline — there is no request to
 //! answer, so no 408.
 
-use std::io::{Read, Write};
-use std::net::TcpStream;
-
-/// Cap on the request line + headers. Anything larger is malformed for
-/// this API (requests carry data in the body, not the headers).
+/// Cap on a message head (start line + headers), in either direction.
+/// Anything larger is malformed for this API (data goes in the body).
 pub(crate) const MAX_HEAD: usize = 16 * 1024;
 
 /// A parsed request.
@@ -73,13 +71,136 @@ pub struct ParsedRequest {
 /// Why a request could not be read.
 #[derive(Debug)]
 pub enum ReadError {
-    /// Connection closed (or timed out) before a full request arrived.
-    Disconnected,
     /// Syntactically broken request (or an unsupported framing such as
     /// `Transfer-Encoding: chunked`) — answer 400.
     Malformed(String),
     /// Declared body exceeds the configured cap — answer 413.
     TooLarge { limit: usize },
+}
+
+/// One message head at the front of a buffer, as [`read_head`] found it.
+#[derive(Default)]
+pub(crate) struct Head<'a> {
+    /// The request line or status line.
+    pub start_line: &'a [u8],
+    /// Head length including the blank line: the body starts here.
+    pub len: usize,
+    pub content_length: Option<usize>,
+    /// `Connection: close` → `false`, `keep-alive` → `true` (the last
+    /// wins); `None` leaves the version's default.
+    pub persist: Option<bool>,
+}
+
+/// Find and read the message head at the front of `buf`: the framing
+/// rules requests and responses share, written once.
+///
+/// - The head is capped at [`MAX_HEAD`] bytes.
+/// - `Content-Length` is 1*DIGIT (RFC 9112 §6.3: no sign, no inner
+///   whitespace; `str::parse` alone would accept `+10`), and repeats
+///   must agree (RFC 9110 §8.6; differing values are a smuggling vector).
+/// - `Transfer-Encoding` is rejected: Content-Length is the only framing.
+/// - `Connection: close` / `keep-alive` set persistence.
+///
+/// `Ok(None)` means more bytes are needed; rules are judged on complete
+/// heads only. The first `scanned` bytes were searched for the terminator
+/// by an earlier call, so a dripped head costs O(head) in total. Fields
+/// are compared in place; nothing is allocated unless the head is rejected.
+pub(crate) fn read_head(buf: &[u8], scanned: usize) -> Result<Option<Head<'_>>, String> {
+    // While the terminator is missing, only fresh bytes need a look.
+    let fresh = &buf[scanned.saturating_sub(3)..];
+    let look = scanned == 0 || fresh.windows(4).any(|w| w == b"\r\n\r\n");
+    let (start_line, mut lines) = if look {
+        split_crlf(buf)
+    } else {
+        (&buf[..0], None)
+    };
+    let mut head = Head {
+        start_line,
+        ..Head::default()
+    };
+    let mut broken = Ok(());
+    while let Some((line, rest)) = lines.map(split_crlf) {
+        match rest {
+            Some(after) if line.is_empty() => {
+                head.len = buf.len() - after.len();
+                break;
+            }
+            Some(_) if broken.is_ok() => broken = field(&mut head, line),
+            _ => {}
+        }
+        lines = rest;
+    }
+    match head.len {
+        // No terminator yet. One still to come may start in the last 3
+        // bytes, so the cap cannot be judged before then (in any chunking).
+        0 if buf.len() <= MAX_HEAD + 3 => Ok(None),
+        // The cap covers the head up to its terminator.
+        len if len > 0 && len - 4 <= MAX_HEAD => broken.map(|()| Some(head)),
+        _ => Err("head exceeds 16KiB".into()),
+    }
+}
+
+/// Apply one header field to `head` by the framing rules.
+fn field(head: &mut Head<'_>, line: &[u8]) -> Result<(), String> {
+    let Some(colon) = find_byte(b':', line) else {
+        return Ok(());
+    };
+    let (name, value) = (line[..colon].trim_ascii(), line[colon + 1..].trim_ascii());
+    if name.eq_ignore_ascii_case(b"content-length") {
+        let parsed = Some(value)
+            .filter(|v| !v.is_empty() && v.iter().all(u8::is_ascii_digit))
+            .and_then(|v| std::str::from_utf8(v).ok()?.parse().ok())
+            .ok_or_else(|| format!("bad Content-Length {:?}", String::from_utf8_lossy(value)))?;
+        if let Some(prev) = head.content_length.filter(|&prev| prev != parsed) {
+            return Err(format!(
+                "conflicting Content-Length values ({prev} and {parsed})"
+            ));
+        }
+        head.content_length = Some(parsed);
+    } else if name.eq_ignore_ascii_case(b"transfer-encoding") {
+        return Err("Transfer-Encoding is not supported; send Content-Length".into());
+    } else if name.eq_ignore_ascii_case(b"connection") {
+        // A comma-separated option list; only persistence matters.
+        for opt in value.split(|&b| b == b',').map(<[u8]>::trim_ascii) {
+            if opt.eq_ignore_ascii_case(b"close") {
+                head.persist = Some(false);
+            } else if opt.eq_ignore_ascii_case(b"keep-alive") {
+                head.persist = Some(true);
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Split `bytes` at its first CRLF: the line before it, and what follows
+/// (`None` when there is no CRLF). A bare `\n` does not end a line.
+fn split_crlf(bytes: &[u8]) -> (&[u8], Option<&[u8]>) {
+    let mut from = 0;
+    while let Some(nl) = find_byte(b'\n', &bytes[from..]).map(|pos| from + pos) {
+        if nl > 0 && bytes[nl - 1] == b'\r' {
+            return (&bytes[..nl - 1], Some(&bytes[nl + 1..]));
+        }
+        from = nl + 1;
+    }
+    (bytes, None)
+}
+
+/// Offset of the first `byte` in `hay`, searched a word at a time (a
+/// head is scanned once per line, so this is the parse's inner loop).
+fn find_byte(byte: u8, hay: &[u8]) -> Option<usize> {
+    const LOW: u64 = u64::from_ne_bytes([1; 8]);
+    let mut words = hay.chunks_exact(8);
+    for (i, word) in words.by_ref().enumerate() {
+        let x = u64::from_le_bytes(word.try_into().expect("8 bytes")) ^ (LOW * u64::from(byte));
+        // Nonzero iff some byte of `x` is zero; the lowest flag is exact.
+        let hit = x.wrapping_sub(LOW) & !x & (LOW << 7);
+        if hit != 0 {
+            return Some(i * 8 + hit.trailing_zeros() as usize / 8);
+        }
+    }
+    let tail = words.remainder();
+    let pos = tail.iter().position(|&b| b == byte)?;
+    Some(hay.len() - tail.len() + pos)
 }
 
 /// Validated head facts, cached between [`RequestParser::parse`] calls
@@ -101,8 +222,8 @@ struct HeadMeta {
 /// [`reset`](RequestParser::reset) before the next pipelined request),
 /// and `Err` is a protocol error to answer and close on. The head scan
 /// is incremental — only freshly appended bytes are searched for the
-/// `\r\n\r\n` terminator (3 bytes of overlap for a straddling
-/// delimiter), so a dripped head costs O(head) total, not O(head²).
+/// `\r\n\r\n` terminator, so a dripped head costs O(head) total, not
+/// O(head²).
 #[derive(Default)]
 pub struct RequestParser {
     scanned: usize,
@@ -135,20 +256,10 @@ impl RequestParser {
         max_body: usize,
     ) -> Result<Option<ParsedRequest>, ReadError> {
         if self.head.is_none() {
-            let start = self.scanned.saturating_sub(3);
-            match find_head_end(&buf[start..]) {
-                Some(pos) => {
-                    let head_end = start + pos;
-                    if head_end > MAX_HEAD {
-                        return Err(ReadError::Malformed("request head exceeds 16KiB".into()));
-                    }
-                    self.head = Some(parse_head(&buf[..head_end], head_end, max_body)?);
-                }
+            match read_head(buf, self.scanned).map_err(ReadError::Malformed)? {
+                Some(head) => self.head = Some(parse_head(head, max_body)?),
                 None => {
                     self.scanned = buf.len();
-                    if buf.len() > MAX_HEAD {
-                        return Err(ReadError::Malformed("request head exceeds 16KiB".into()));
-                    }
                     return Ok(None);
                 }
             }
@@ -173,12 +284,9 @@ impl RequestParser {
     }
 }
 
-/// Parse and validate a complete head (`buf[..head_end]`, exclusive of
-/// the `\r\n\r\n`).
-fn parse_head(head: &[u8], head_end: usize, max_body: usize) -> Result<HeadMeta, ReadError> {
-    let head = String::from_utf8_lossy(head).into_owned();
-    let mut lines = head.split("\r\n");
-    let request_line = lines.next().unwrap_or_default();
+/// Validate a request head's request line and body cap.
+fn parse_head(head: Head<'_>, max_body: usize) -> Result<HeadMeta, ReadError> {
+    let request_line = String::from_utf8_lossy(head.start_line);
     let mut parts = request_line.split(' ');
     let method = parts
         .next()
@@ -200,63 +308,7 @@ fn parse_head(head: &[u8], head_end: usize, max_body: usize) -> Result<HeadMeta,
         Some((p, q)) => (p.to_string(), q.to_string()),
         None => (target.to_string(), String::new()),
     };
-
-    // Headers: we care about framing and connection persistence.
-    let mut content_length: Option<usize> = None;
-    // HTTP/1.1 defaults to keep-alive; HTTP/1.0 to close.
-    let mut keep_alive = version != "HTTP/1.0";
-    for line in lines {
-        let Some((name, value)) = line.split_once(':') else {
-            continue;
-        };
-        let name = name.trim().to_ascii_lowercase();
-        let value = value.trim();
-        match name.as_str() {
-            "content-length" => {
-                // RFC 9112 §6.3: Content-Length is 1*DIGIT — no sign, no
-                // whitespace inside, nothing else. `str::parse` alone is
-                // too lenient (it accepts "+10").
-                if value.is_empty() || !value.bytes().all(|b| b.is_ascii_digit()) {
-                    return Err(ReadError::Malformed(format!(
-                        "bad Content-Length {value:?}"
-                    )));
-                }
-                let parsed: usize = value
-                    .parse()
-                    .map_err(|_| ReadError::Malformed(format!("bad Content-Length {value:?}")))?;
-                // Duplicate headers with differing values are a framing
-                // attack vector (request smuggling); identical repeats
-                // are tolerated per RFC 9110 §8.6.
-                if let Some(prev) = content_length {
-                    if prev != parsed {
-                        return Err(ReadError::Malformed(format!(
-                            "conflicting Content-Length values ({prev} and {parsed})"
-                        )));
-                    }
-                }
-                content_length = Some(parsed);
-            }
-            "transfer-encoding" => {
-                return Err(ReadError::Malformed(
-                    "Transfer-Encoding is not supported; send Content-Length".into(),
-                ));
-            }
-            "connection" => {
-                // A comma-separated option list; only the persistence
-                // options matter here.
-                for opt in value.split(',') {
-                    let opt = opt.trim();
-                    if opt.eq_ignore_ascii_case("close") {
-                        keep_alive = false;
-                    } else if opt.eq_ignore_ascii_case("keep-alive") {
-                        keep_alive = true;
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-    let content_length = content_length.unwrap_or(0);
+    let content_length = head.content_length.unwrap_or(0);
     if content_length > max_body {
         return Err(ReadError::TooLarge { limit: max_body });
     }
@@ -264,33 +316,11 @@ fn parse_head(head: &[u8], head_end: usize, max_body: usize) -> Result<HeadMeta,
         method,
         path,
         query,
-        body_start: head_end + 4,
+        body_start: head.len,
         content_length,
-        keep_alive,
+        // HTTP/1.1 defaults to keep-alive; HTTP/1.0 to close.
+        keep_alive: head.persist.unwrap_or(version != "HTTP/1.0"),
     })
-}
-
-/// Blocking convenience reader: read and parse one request from
-/// `stream`. Used by unit tests; the server proper drives
-/// [`RequestParser`] from its event loop.
-pub fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<Request, ReadError> {
-    let mut parser = RequestParser::new();
-    let mut buf: Vec<u8> = Vec::with_capacity(1024);
-    let mut chunk = [0u8; 1024];
-    loop {
-        if let Some(parsed) = parser.parse(&buf, max_body)? {
-            return Ok(parsed.request);
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => return Err(ReadError::Disconnected),
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(_) => return Err(ReadError::Disconnected),
-        }
-    }
-}
-
-fn find_head_end(buf: &[u8]) -> Option<usize> {
-    buf.windows(4).position(|w| w == b"\r\n\r\n")
 }
 
 /// A response ready to serialize. Body is JSON unless a route opted
@@ -305,7 +335,7 @@ pub struct Response {
     pub content_type: &'static str,
     /// Correlation id echoed as `X-Request-Id`. The event loop stamps
     /// this on every response it writes; `None` only in unit tests and
-    /// one-shot helper paths that predate correlation.
+    /// in-process callers of [`crate::router::handle`].
     pub request_id: Option<String>,
 }
 
@@ -356,33 +386,6 @@ impl Response {
         out.extend_from_slice(self.body.as_bytes());
         out
     }
-
-    /// Serialize onto the wire with `Connection: close` (one-shot paths:
-    /// accept-time shedding, tests). Errors are ignored — the peer may
-    /// already be gone, and there is nothing useful to do about it.
-    pub fn write_to(&self, stream: &mut TcpStream) {
-        let _ = stream.write_all(&self.to_bytes(false));
-        let _ = stream.flush();
-    }
-}
-
-/// Politely close after responding: shut down the write side, then drain
-/// whatever request bytes were never read. Closing with unread data in
-/// the receive buffer makes the kernel send RST, which discards the
-/// response we just wrote — exactly the error paths (413, shed 503) where
-/// the client most needs to see the status. (The event loop has its own
-/// non-blocking equivalent — a `Draining` connection state.)
-pub fn drain_and_close(stream: &mut TcpStream) {
-    let _ = stream.shutdown(std::net::Shutdown::Write);
-    let _ = stream.set_read_timeout(Some(std::time::Duration::from_millis(500)));
-    let mut sink = [0u8; 4096];
-    // Bounded: a peer that keeps streaming gets cut off after ~1 MiB.
-    for _ in 0..256 {
-        match stream.read(&mut sink) {
-            Ok(0) | Err(_) => break,
-            Ok(_) => {}
-        }
-    }
 }
 
 /// Reason phrase for every status the API uses.
@@ -403,32 +406,52 @@ pub fn reason(status: u16) -> &'static str {
     }
 }
 
+/// Test support for the wire decoders: feed `wire` to `next` as a socket
+/// might deliver it, cut at `cuts` (any order; past the end clamps), and
+/// after each append take every item `next` splits off the buffer's
+/// front. Returns the items and the error that stopped them, if any.
+#[cfg(test)]
+pub(crate) fn feed<T, E: std::fmt::Debug>(
+    wire: &[u8],
+    cuts: &[usize],
+    mut next: impl FnMut(&mut Vec<u8>) -> Result<Option<T>, E>,
+) -> (Vec<T>, Option<String>) {
+    let mut bounds: Vec<usize> = cuts.iter().map(|&c| c.min(wire.len())).collect();
+    bounds.extend([0, wire.len()]);
+    bounds.sort_unstable();
+    let (mut buf, mut got) = (Vec::new(), Vec::new());
+    for w in bounds.windows(2) {
+        buf.extend_from_slice(&wire[w[0]..w[1]]);
+        while let Some(item) = next(&mut buf).transpose() {
+            match item {
+                Ok(item) => got.push(item),
+                Err(e) => return (got, Some(format!("{e:?}"))),
+            }
+        }
+    }
+    (got, None)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Write;
-    use std::net::{TcpListener, TcpStream};
-
-    /// Feed raw bytes through a real socket pair and parse.
-    fn roundtrip(raw: &[u8]) -> Result<Request, ReadError> {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let mut client = TcpStream::connect(addr).unwrap();
-        client.write_all(raw).unwrap();
-        drop(client); // EOF so short reads terminate
-        let (mut server_side, _) = listener.accept().unwrap();
-        read_request(&mut server_side, 1024)
-    }
+    use proptest::prelude::*;
 
     /// Parse a complete buffer through the incremental parser.
     fn parse_once(raw: &[u8]) -> Result<Option<ParsedRequest>, ReadError> {
         RequestParser::new().parse(raw, 1024)
     }
 
+    /// Parse one request that `raw` holds in full.
+    fn parse_request(raw: &[u8]) -> Result<Request, ReadError> {
+        parse_once(raw).map(|p| p.expect("complete request").request)
+    }
+
     #[test]
     fn parses_post_with_body() {
-        let req = roundtrip(b"POST /sessions HTTP/1.1\r\nHost: x\r\nContent-Length: 4\r\n\r\nabcd")
-            .unwrap();
+        let req =
+            parse_request(b"POST /sessions HTTP/1.1\r\nHost: x\r\nContent-Length: 4\r\n\r\nabcd")
+                .unwrap();
         assert_eq!(req.method, "POST");
         assert_eq!(req.path, "/sessions");
         assert_eq!(req.body, b"abcd");
@@ -436,7 +459,7 @@ mod tests {
 
     #[test]
     fn strips_query_string_and_uppercases_method() {
-        let req = roundtrip(b"get /metrics?pretty=1 HTTP/1.0\r\n\r\n").unwrap();
+        let req = parse_request(b"get /metrics?pretty=1 HTTP/1.0\r\n\r\n").unwrap();
         assert_eq!(req.method, "GET");
         assert_eq!(req.path, "/metrics");
         assert_eq!(req.query, "pretty=1");
@@ -446,12 +469,12 @@ mod tests {
     #[test]
     fn query_params_are_parsed_on_demand() {
         let req =
-            roundtrip(b"GET /events?since=42&format=prometheus&flag HTTP/1.1\r\n\r\n").unwrap();
+            parse_request(b"GET /events?since=42&format=prometheus&flag HTTP/1.1\r\n\r\n").unwrap();
         assert_eq!(req.query_param("since"), Some("42"));
         assert_eq!(req.query_param("format"), Some("prometheus"));
         assert_eq!(req.query_param("flag"), Some(""));
         assert_eq!(req.query_param("absent"), None);
-        let bare = roundtrip(b"GET /events HTTP/1.1\r\n\r\n").unwrap();
+        let bare = parse_request(b"GET /events HTTP/1.1\r\n\r\n").unwrap();
         assert_eq!(bare.query, "");
         assert_eq!(bare.query_param("since"), None);
     }
@@ -524,7 +547,7 @@ mod tests {
     #[test]
     fn rejects_oversized_body() {
         let raw = b"POST /x HTTP/1.1\r\nContent-Length: 9999\r\n\r\n";
-        match roundtrip(raw) {
+        match parse_once(raw) {
             Err(ReadError::TooLarge { limit }) => assert_eq!(limit, 1024),
             other => panic!("expected TooLarge, got {other:?}"),
         }
@@ -533,14 +556,13 @@ mod tests {
     #[test]
     fn rejects_chunked_and_garbage() {
         assert!(matches!(
-            roundtrip(b"POST /x HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"),
+            parse_once(b"POST /x HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"),
             Err(ReadError::Malformed(_))
         ));
         assert!(matches!(
-            roundtrip(b"NONSENSE\r\n\r\n"),
+            parse_once(b"NONSENSE\r\n\r\n"),
             Err(ReadError::Malformed(_))
         ));
-        assert!(matches!(roundtrip(b""), Err(ReadError::Disconnected)));
     }
 
     #[test]
@@ -551,7 +573,7 @@ mod tests {
         for bad in ["+10", "-1", "4 4", "0x4", ""] {
             let raw = format!("POST /x HTTP/1.1\r\nContent-Length:{bad}\r\n\r\nabcd");
             assert!(
-                matches!(roundtrip(raw.as_bytes()), Err(ReadError::Malformed(_))),
+                matches!(parse_once(raw.as_bytes()), Err(ReadError::Malformed(_))),
                 "Content-Length {bad:?} must be rejected"
             );
         }
@@ -560,9 +582,9 @@ mod tests {
     #[test]
     fn conflicting_content_lengths_are_rejected_identical_ones_allowed() {
         let raw = b"POST /x HTTP/1.1\r\nContent-Length: 4\r\nContent-Length: 5\r\n\r\nabcde";
-        assert!(matches!(roundtrip(raw), Err(ReadError::Malformed(_))));
+        assert!(matches!(parse_once(raw), Err(ReadError::Malformed(_))));
         let raw = b"POST /x HTTP/1.1\r\nContent-Length: 4\r\nContent-Length: 4\r\n\r\nabcd";
-        let req = roundtrip(raw).unwrap();
+        let req = parse_request(raw).unwrap();
         assert_eq!(req.body, b"abcd");
     }
 
@@ -572,45 +594,14 @@ mod tests {
         raw.extend_from_slice(format!("X-Pad: {}\r\n", "a".repeat(MAX_HEAD)).as_bytes());
         raw.extend_from_slice(b"\r\n");
         assert!(matches!(
-            roundtrip(&raw),
+            parse_once(&raw),
             Err(ReadError::Malformed(msg)) if msg.contains("16KiB")
         ));
     }
 
     #[test]
-    fn dripped_head_parses_across_chunk_boundaries() {
-        // Byte-at-a-time delivery exercises the incremental scan overlap
-        // (the \r\n\r\n can straddle any chunk boundary).
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let raw: &[u8] = b"POST /drip HTTP/1.1\r\nContent-Length: 2\r\n\r\nhi";
-        let writer = std::thread::spawn(move || {
-            let mut client = TcpStream::connect(addr).unwrap();
-            for b in raw {
-                client.write_all(&[*b]).unwrap();
-                client.flush().unwrap();
-            }
-            client
-        });
-        let (mut server_side, _) = listener.accept().unwrap();
-        let req = read_request(&mut server_side, 1024).unwrap();
-        assert_eq!(req.path, "/drip");
-        assert_eq!(req.body, b"hi");
-        drop(writer.join().unwrap());
-    }
-
-    #[test]
     fn response_has_framing_headers() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let client = TcpStream::connect(addr).unwrap();
-        let (mut server_side, _) = listener.accept().unwrap();
-        Response::json(422, "{\"x\":1}").write_to(&mut server_side);
-        drop(server_side);
-        let mut got = String::new();
-        let mut client = client;
-        use std::io::Read;
-        client.read_to_string(&mut got).unwrap();
+        let got = String::from_utf8(Response::json(422, "{\"x\":1}").to_bytes(false)).unwrap();
         assert!(got.starts_with("HTTP/1.1 422 Unprocessable Entity\r\n"));
         assert!(got.contains("Content-Length: 7\r\n"));
         assert!(got.contains("Connection: close\r\n"));
@@ -627,5 +618,85 @@ mod tests {
             close.replace("Connection: close", "Connection: keep-alive"),
             keep
         );
+    }
+
+    /// Parse `wire` as the event loop does, cut at `cuts`: parse after
+    /// every append, drain each request and reset. Each request comes
+    /// back as its `Debug` text, which shows all six fields of a parse.
+    fn parse_all(wire: &[u8], cuts: &[usize]) -> (Vec<String>, Option<String>) {
+        let mut parser = RequestParser::new();
+        feed(wire, cuts, |buf| {
+            let parsed = parser.parse(buf, 1024)?;
+            if let Some(p) = &parsed {
+                buf.drain(..p.consumed);
+                parser.reset();
+            }
+            Ok::<_, ReadError>(parsed.map(|p| format!("{p:?}")))
+        })
+    }
+
+    /// One request: method case, target, version, `Connection` and body vary.
+    fn request_case() -> impl Strategy<Value = Vec<u8>> {
+        let pick = |words: &[&'static str]| prop::sample::select(words.to_vec());
+        let line = (pick(&["GET", "post", "Delete"]), pick(&["1.0", "1.1"]));
+        let conn = pick(&["", "close", "Keep-Alive, x"]);
+        (line, "/[a-z0-9/?=&]{0,16}", conn, "[ -~]{0,40}").prop_map(|((m, v), path, conn, body)| {
+            let head = format!("{m} {path} HTTP/{v}\r\nConnection: {conn}\r\n");
+            format!("{head}content-LENGTH: {}\r\n\r\n{body}", body.len()).into_bytes()
+        })
+    }
+
+    proptest! {
+        /// Any chunking of 1–4 pipelined requests, byte-at-a-time
+        /// included, parses like the one-shot parse.
+        #[test]
+        fn any_chunking_parses_like_the_one_shot_parse(
+            requests in prop::collection::vec(request_case(), 1..5),
+            cuts in prop::collection::vec(0usize..400, 0..8),
+        ) {
+            let wire = requests.concat();
+            let one_shot = parse_all(&wire, &[]);
+            prop_assert_eq!((one_shot.0.len(), &one_shot.1), (requests.len(), &None));
+            let drip: Vec<usize> = (0..wire.len()).collect();
+            for cuts in [&cuts, &drip] {
+                prop_assert_eq!(&parse_all(&wire, cuts), &one_shot);
+            }
+        }
+
+        /// Arbitrary bytes (requests with bytes overwritten) never panic
+        /// the parser, in any chunking.
+        #[test]
+        fn arbitrary_bytes_never_panic(
+            mut wire in request_case(),
+            edits in prop::collection::vec((any::<usize>(), any::<u8>()), 0..8),
+            cuts in prop::collection::vec(0usize..200, 0..6),
+        ) {
+            let len = wire.len();
+            edits.into_iter().for_each(|(at, byte)| wire[at % len] = byte);
+            prop_assert_eq!(parse_all(&wire, &cuts), parse_all(&wire, &[]));
+        }
+
+        /// Past 16 KiB a head is malformed and past `max_body` a declared
+        /// body is too large, however the bytes arrive; byte-at-a-time
+        /// across the cap too, where a terminator yet to come may still
+        /// end inside it.
+        #[test]
+        fn caps_hold_in_any_chunking(
+            pad in (MAX_HEAD - 40)..(MAX_HEAD + 40),
+            length in 1025usize..1_000_000,
+            cuts in prop::collection::vec(0usize..(MAX_HEAD + 100), 0..6),
+        ) {
+            let head = format!("GET /x HTTP/1.1\r\nX-Pad: {}\r\n\r\n", "a".repeat(pad));
+            let big = format!("POST /x HTTP/1.1\r\nContent-Length: {length}\r\n\r\n");
+            let over = head.len() - 4 > MAX_HEAD;
+            let near_cap: Vec<usize> = (MAX_HEAD - 8..MAX_HEAD + 8).collect();
+            for cuts in [&[][..], &cuts, &near_cap] {
+                let (got, err) = parse_all(head.as_bytes(), cuts);
+                let capped = err.is_some_and(|e| e.contains("16KiB"));
+                prop_assert_eq!((got.len(), capped), (usize::from(!over), over));
+                let err = parse_all(big.as_bytes(), cuts).1;
+                prop_assert_eq!(err.as_deref(), Some("TooLarge { limit: 1024 }"));
+            }
+        }
     }
 }

@@ -741,52 +741,11 @@ fn follower_apply_loop(
     epoll.del(stream.as_raw_fd());
 }
 
-/// A minimal one-shot HTTP POST (Connection: close) used by
-/// `/rebalance` to hand a session to the target shard. Blocking with
-/// timeouts — rebalance is an operator action on a worker thread, not
-/// event-loop traffic.
-pub fn http_post(
-    addr: &str,
-    path: &str,
-    body: &str,
-    timeout: Duration,
-) -> Result<(u16, String), String> {
-    let sockaddr = resolve(addr)?;
-    let mut stream = TcpStream::connect_timeout(&sockaddr, timeout)
-        .map_err(|e| format!("connect {addr}: {e}"))?;
-    stream
-        .set_read_timeout(Some(timeout))
-        .map_err(|e| e.to_string())?;
-    stream
-        .set_write_timeout(Some(timeout))
-        .map_err(|e| e.to_string())?;
-    let req = format!(
-        "POST {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    );
-    stream
-        .write_all(req.as_bytes())
-        .map_err(|e| format!("send to {addr}: {e}"))?;
-    let mut raw = Vec::new();
-    stream
-        .read_to_end(&mut raw)
-        .map_err(|e| format!("read from {addr}: {e}"))?;
-    let text = String::from_utf8_lossy(&raw);
-    let status: u16 = text
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| format!("malformed response from {addr}"))?;
-    let body = text
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    Ok((status, body))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::http::feed;
+    use proptest::prelude::*;
 
     #[test]
     fn frames_round_trip_and_reject_oversize() {
@@ -858,5 +817,54 @@ mod tests {
         // configuration error.
         let err = ShardRing::new(peers, "127.0.0.1:9999").unwrap_err();
         assert!(err.contains("9999"), "{err}");
+    }
+
+    proptest! {
+        /// Any split of an `encode_frame` stream, byte-at-a-time
+        /// included, decodes to the same payloads.
+        #[test]
+        fn any_split_decodes_the_same_payloads(
+            payloads in prop::collection::vec("[ -~é€😀]{0,24}", 0..6),
+            cuts in prop::collection::vec(0usize..300, 0..8),
+        ) {
+            let mut wire = Vec::new();
+            payloads.iter().for_each(|p| encode_frame(&mut wire, p));
+            let drip: Vec<usize> = (0..wire.len()).collect();
+            for cuts in [&cuts, &drip] {
+                prop_assert_eq!(feed(&wire, cuts, decode_frame), (payloads.clone(), None));
+            }
+        }
+
+        /// A length prefix above `MAX_FRAME` is an error whatever follows,
+        /// and so is a payload that is not UTF-8.
+        #[test]
+        fn oversized_prefixes_and_non_utf8_payloads_are_errors(
+            len in (MAX_FRAME as u32 + 1)..=u32::MAX,
+            mut bytes in prop::collection::vec(any::<u8>(), 0..32),
+            at in any::<usize>(),
+        ) {
+            let mut huge = [&len.to_be_bytes()[..], &bytes].concat();
+            prop_assert!(decode_frame(&mut huge).is_err());
+            bytes.insert(at % (bytes.len() + 1), 0xff);
+            let mut bad = [&(bytes.len() as u32).to_be_bytes()[..], &bytes].concat();
+            prop_assert!(decode_frame(&mut bad).is_err());
+        }
+
+        /// Arbitrary bytes never panic, and every frame drains exactly its
+        /// 4-byte prefix plus the length the prefix declares: the frames
+        /// taken, encoded again, are the bytes they were taken from.
+        #[test]
+        fn every_frame_drains_exactly_its_prefix_and_payload(
+            frames in prop::collection::vec((0u32..24, prop::collection::vec(any::<u8>(), 0..24)), 0..6),
+            noise in prop::collection::vec(any::<u8>(), 0..32),
+        ) {
+            let mut wire: Vec<u8> = noise;
+            for (len, bytes) in frames.into_iter().rev() {
+                wire = [&len.to_be_bytes()[..], &bytes, &wire].concat();
+            }
+            let mut taken = Vec::new();
+            feed(&wire, &[], decode_frame).0.iter().for_each(|p| encode_frame(&mut taken, p));
+            prop_assert!(wire.starts_with(&taken));
+        }
     }
 }

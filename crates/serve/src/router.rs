@@ -9,9 +9,10 @@ use crate::api::{
     MatchResponse, PromoteResponse, QueryRequest, RebalanceRequest, RebalanceResponse,
     SessionListEntry, SessionListResponse, SessionResponse, ShardMapDto,
 };
+use crate::client::{self, Reply};
 use crate::http::{Request, Response};
 use crate::persist::WalOp;
-use crate::repl::{self, HandoffRequest};
+use crate::repl::HandoffRequest;
 use crate::state::{AppState, SessionSlot};
 use panda_session::PandaSession;
 use panda_table::CandidatePair;
@@ -439,8 +440,9 @@ fn rebalance(state: &AppState, req: &Request) -> Response {
         Ok(p) => p,
         Err(e) => return error(500, "encode_failed", e.0),
     };
-    match repl::http_post(&body.target, "/handoff", &payload, Duration::from_secs(30)) {
-        Ok((200, _)) => {
+    let timeout = Some(Duration::from_secs(30));
+    match client::request(body.target.as_str(), "POST", "/handoff", &payload, timeout) {
+        Ok(Reply { status: 200, .. }) => {
             // The target holds the session now; dropping it here also
             // ships a Delete to this shard's own followers.
             state.remove(id);
@@ -451,10 +453,10 @@ fn rebalance(state: &AppState, req: &Request) -> Response {
                 status: "moved".to_string(),
             })
         }
-        Ok((status, resp_body)) => error(
+        Ok(r) => error(
             502,
             "handoff_rejected",
-            format!("target {} answered {status}: {resp_body}", body.target),
+            format!("target {} answered {}: {}", body.target, r.status, r.body),
         ),
         Err(msg) => error(
             502,

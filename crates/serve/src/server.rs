@@ -882,10 +882,6 @@ impl EventLoop {
                                 ),
                             )
                         }
-                        ReadError::Disconnected => {
-                            self.close(idx);
-                            return processed;
-                        }
                     };
                     panda_obs::counter_add_labeled(
                         "serve.http.requests",
@@ -1269,20 +1265,7 @@ impl ServerHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn get(addr: SocketAddr, path: &str) -> (u16, String) {
-        let mut stream = TcpStream::connect(addr).unwrap();
-        write!(
-            stream,
-            "GET {path} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n"
-        )
-        .unwrap();
-        let mut raw = String::new();
-        stream.read_to_string(&mut raw).unwrap();
-        let status: u16 = raw.split(' ').nth(1).unwrap().parse().unwrap();
-        let body = raw.split("\r\n\r\n").nth(1).unwrap_or_default().to_string();
-        (status, body)
-    }
+    use crate::client::{self, Client};
 
     #[test]
     fn serves_health_and_drains_on_shutdown() {
@@ -1292,23 +1275,17 @@ mod tests {
         })
         .unwrap();
         let addr = handle.addr();
-        let (status, body) = get(addr, "/healthz");
-        assert_eq!(status, 200);
-        assert_eq!(body, r#"{"status":"ok"}"#);
+        let reply = client::request(addr, "GET", "/healthz", "", None).unwrap();
+        assert_eq!(reply.status, 200);
+        assert_eq!(reply.body, r#"{"status":"ok"}"#);
 
-        // POST /shutdown over the wire, then join must return.
-        let mut stream = TcpStream::connect(addr).unwrap();
-        write!(
-            stream,
-            "POST /shutdown HTTP/1.1\r\nHost: t\r\nContent-Length: 0\r\n\r\n"
-        )
-        .unwrap();
-        let mut raw = String::new();
-        stream.read_to_string(&mut raw).unwrap();
-        assert!(raw.contains("draining"));
+        // POST /shutdown over a keep-alive connection, then join must return.
+        let mut conn = Client::connect(addr, None).unwrap();
+        let client::Reply { head, body, .. } = conn.roundtrip("POST", "/shutdown", "").unwrap();
+        assert!(body.contains("draining"));
         assert!(
-            raw.contains("Connection: close"),
-            "drain responses must announce the close: {raw}"
+            head.contains("Connection: close"),
+            "drain responses must announce the close: {head}"
         );
         handle.join();
     }
@@ -1355,8 +1332,8 @@ mod tests {
         .unwrap();
         let addr = handle.addr();
         for _ in 0..16 {
-            let (status, _) = get(addr, "/healthz");
-            assert_eq!(status, 200);
+            let reply = client::request(addr, "GET", "/healthz", "", None).unwrap();
+            assert_eq!(reply.status, 200);
         }
         handle.shutdown();
         handle.join();

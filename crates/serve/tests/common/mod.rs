@@ -1,108 +1,5 @@
-//! Shared helpers for the serve integration tests: a tiny blocking HTTP
-//! client and a deterministic demo dataset.
-#![allow(dead_code)]
-
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
-
-/// Issue one request on a fresh connection (`Connection: close`, so the
-/// server ends the stream after the response); returns `(status, body)`.
-pub fn request(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    write!(
-        stream,
-        "{method} {path} HTTP/1.1\r\nHost: test\r\nConnection: close\r\nContent-Type: application/json\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    )
-    .expect("send");
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).expect("recv");
-    let status: u16 = raw
-        .split(' ')
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("unparseable response: {raw:?}"));
-    let body = raw.split("\r\n\r\n").nth(1).unwrap_or_default().to_string();
-    (status, body)
-}
-
-/// A persistent-connection client: many requests over one socket.
-pub struct KeepAliveClient {
-    stream: TcpStream,
-}
-
-impl KeepAliveClient {
-    pub fn connect(addr: SocketAddr) -> KeepAliveClient {
-        KeepAliveClient {
-            stream: TcpStream::connect(addr).expect("connect"),
-        }
-    }
-
-    /// Send one request and read exactly one response (keep-alive framing
-    /// via `Content-Length`); returns the raw response string.
-    pub fn roundtrip_raw(&mut self, method: &str, path: &str, body: &str) -> String {
-        self.send(method, path, body);
-        self.read_response()
-    }
-
-    /// Send one request and return `(status, body)`.
-    pub fn roundtrip(&mut self, method: &str, path: &str, body: &str) -> (u16, String) {
-        let raw = self.roundtrip_raw(method, path, body);
-        split_response(&raw)
-    }
-
-    /// Write one request without waiting for the response (pipelining).
-    pub fn send(&mut self, method: &str, path: &str, body: &str) {
-        write!(
-            self.stream,
-            "{method} {path} HTTP/1.1\r\nHost: test\r\nContent-Type: application/json\r\nContent-Length: {}\r\n\r\n{body}",
-            body.len()
-        )
-        .expect("send");
-    }
-
-    /// Read exactly one `Content-Length`-framed response off the socket.
-    pub fn read_response(&mut self) -> String {
-        let mut raw = Vec::new();
-        let mut byte = [0u8; 1];
-        // Head first (byte-at-a-time is fine at test scale).
-        while !raw.ends_with(b"\r\n\r\n") {
-            let n = self.stream.read(&mut byte).expect("recv head");
-            assert!(n > 0, "eof mid-head: {:?}", String::from_utf8_lossy(&raw));
-            raw.push(byte[0]);
-        }
-        let head = String::from_utf8(raw.clone()).expect("utf8 head");
-        let len: usize = head
-            .lines()
-            .find_map(|l| {
-                l.to_ascii_lowercase()
-                    .strip_prefix("content-length:")
-                    .map(str::trim)
-                    .map(String::from)
-            })
-            .and_then(|v| v.parse().ok())
-            .unwrap_or_else(|| panic!("no content-length in {head:?}"));
-        let mut body = vec![0u8; len];
-        self.stream.read_exact(&mut body).expect("recv body");
-        raw.extend_from_slice(&body);
-        String::from_utf8(raw).expect("utf8 response")
-    }
-
-    pub fn stream(&mut self) -> &mut TcpStream {
-        &mut self.stream
-    }
-}
-
-/// Split a raw HTTP response into `(status, body)`.
-pub fn split_response(raw: &str) -> (u16, String) {
-    let status: u16 = raw
-        .split(' ')
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("unparseable response: {raw:?}"));
-    let body = raw.split("\r\n\r\n").nth(1).unwrap_or_default().to_string();
-    (status, body)
-}
+//! Shared fixture for the serve integration tests: a deterministic demo
+//! dataset.
 
 /// A small product-matching task with overlapping vocabulary, enough rows
 /// for blocking to find candidates, and known gold pairs.

@@ -8,6 +8,7 @@
 mod common;
 
 use panda_serve::api::{CreateSessionRequest, SessionConfigDto};
+use panda_serve::client::{request, Reply};
 use panda_serve::{Server, ServerConfig};
 
 #[test]
@@ -33,12 +34,8 @@ fn adding_an_lf_never_reapplies_the_matrix() {
             ..Default::default()
         }),
     };
-    let (status, body) = common::request(
-        addr,
-        "POST",
-        "/sessions",
-        &serde_json::to_string(&create).unwrap(),
-    );
+    let create = serde_json::to_string(&create).unwrap();
+    let Reply { status, body, .. } = request(addr, "POST", "/sessions", &create, None).unwrap();
     assert_eq!(status, 200, "{body}");
 
     // Load legitimately runs a full apply; flush its telemetry so the
@@ -46,7 +43,7 @@ fn adding_an_lf_never_reapplies_the_matrix() {
     panda_obs::journal_drain();
 
     let lf = r#"{"name":"name_overlap","kind":"similarity","attr":"name","upper":0.5,"lower":0.1}"#;
-    let (status, body) = common::request(addr, "POST", "/sessions/1/lfs", lf);
+    let Reply { status, body, .. } = request(addr, "POST", "/sessions/1/lfs", lf, None).unwrap();
     assert_eq!(status, 200, "{body}");
 
     let journal = panda_obs::journal_drain().to_jsonl();

@@ -2,11 +2,9 @@
 //! keep-alive reuse, pipelining, slowloris eviction, byte parity with
 //! fresh connections, and prompt drain of idle persistent connections.
 
-mod common;
-
-use common::KeepAliveClient;
+use panda_serve::client::{self, Client};
 use panda_serve::{Server, ServerConfig};
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
@@ -17,11 +15,11 @@ fn keep_alive_serves_many_requests_on_one_socket() {
         ..Default::default()
     })
     .unwrap();
-    let mut client = KeepAliveClient::connect(handle.addr());
+    let mut client = Client::connect(handle.addr(), None).unwrap();
     for _ in 0..50 {
-        let (status, body) = client.roundtrip("GET", "/healthz", "");
-        assert_eq!(status, 200);
-        assert_eq!(body, r#"{"status":"ok"}"#);
+        let reply = client.roundtrip("GET", "/healthz", "").unwrap();
+        assert_eq!(reply.status, 200);
+        assert_eq!(reply.body, r#"{"status":"ok"}"#);
     }
     handle.shutdown();
     handle.join();
@@ -34,7 +32,7 @@ fn pipelined_requests_are_answered_in_order() {
         ..Default::default()
     })
     .unwrap();
-    let mut client = KeepAliveClient::connect(handle.addr());
+    let mut client = Client::connect(handle.addr(), None).unwrap();
     // Write all requests back-to-back before reading any response: the
     // server must answer each, in order, on the same socket.
     const N: usize = 10;
@@ -43,12 +41,12 @@ fn pipelined_requests_are_answered_in_order() {
     }
     client.send("GET", "/no/such/route", "");
     for _ in 0..N {
-        let raw = client.read_response();
-        assert!(raw.starts_with("HTTP/1.1 200"), "{raw}");
-        assert!(raw.contains("Connection: keep-alive"), "{raw}");
+        let head = client.read_response().unwrap().head;
+        assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+        assert!(head.contains("Connection: keep-alive"), "{head}");
     }
-    let raw = client.read_response();
-    assert!(raw.starts_with("HTTP/1.1 404"), "order violated: {raw}");
+    let head = client.read_response().unwrap().head;
+    assert!(head.starts_with("HTTP/1.1 404"), "order violated: {head}");
     handle.shutdown();
     handle.join();
 }
@@ -65,33 +63,22 @@ fn keep_alive_responses_match_fresh_connection_bytes() {
     .unwrap();
     let addr = handle.addr();
 
-    let fresh = |path: &str| -> String {
-        let mut stream = TcpStream::connect(addr).unwrap();
-        write!(
-            stream,
-            "GET {path} HTTP/1.1\r\nHost: test\r\nConnection: close\r\nContent-Type: application/json\r\nContent-Length: 0\r\n\r\n"
-        )
-        .unwrap();
-        let mut raw = String::new();
-        stream.read_to_string(&mut raw).unwrap();
-        raw
-    };
-
     // Each response carries a unique X-Request-Id; strip it (and assert
     // presence) before comparing the remaining bytes.
-    fn strip_rid(raw: &str) -> String {
+    fn strip_rid(reply: client::Reply) -> String {
+        let raw = reply.head + &reply.body;
         let start = raw.find("X-Request-Id: ").expect("correlation id present");
         let end = raw[start..].find("\r\n").unwrap() + start + 2;
         format!("{}{}", &raw[..start], &raw[end..])
     }
 
-    let mut client = KeepAliveClient::connect(addr);
+    let mut client = Client::connect(addr, None).unwrap();
     for path in ["/healthz", "/metrics-not-a-route", "/healthz"] {
-        let reused = client.roundtrip_raw("GET", path, "");
-        let once = fresh(path);
+        let reused = client.roundtrip("GET", path, "").unwrap();
+        let once = client::request(addr, "GET", path, "", None).unwrap();
         assert_eq!(
-            strip_rid(&reused).replace("Connection: keep-alive", "Connection: close"),
-            strip_rid(&once),
+            strip_rid(reused).replace("Connection: keep-alive", "Connection: close"),
+            strip_rid(once),
             "byte parity violated for {path}"
         );
     }
@@ -135,14 +122,13 @@ fn idle_keep_alive_connection_is_reaped_silently() {
         ..Default::default()
     })
     .unwrap();
-    let mut client = KeepAliveClient::connect(handle.addr());
-    let (status, _) = client.roundtrip("GET", "/healthz", "");
-    assert_eq!(status, 200);
+    let mut client = Client::connect(handle.addr(), None).unwrap();
+    let reply = client.roundtrip("GET", "/healthz", "").unwrap();
+    assert_eq!(reply.status, 200);
     // Go idle past the keep-alive deadline: the server closes without
     // sending anything (no 408 — there is no request to time out).
-    let mut rest = String::new();
-    client.stream().read_to_string(&mut rest).unwrap();
-    assert_eq!(rest, "", "idle reap must be silent");
+    let rest = client.read_response().unwrap_err().kind();
+    assert_eq!(rest, ErrorKind::UnexpectedEof, "idle reap must be silent");
     handle.shutdown();
     handle.join();
 }
@@ -155,20 +141,19 @@ fn max_requests_per_conn_forces_connection_close() {
         ..Default::default()
     })
     .unwrap();
-    let mut client = KeepAliveClient::connect(handle.addr());
+    let mut client = Client::connect(handle.addr(), None).unwrap();
     for i in 1..=3 {
-        let raw = client.roundtrip_raw("GET", "/healthz", "");
+        let head = client.roundtrip("GET", "/healthz", "").unwrap().head;
         let expect = if i < 3 {
             "Connection: keep-alive"
         } else {
             "Connection: close"
         };
-        assert!(raw.contains(expect), "request {i}: {raw}");
+        assert!(head.contains(expect), "request {i}: {head}");
     }
     // The server closed the socket after the 3rd response.
-    let mut rest = String::new();
-    client.stream().read_to_string(&mut rest).unwrap();
-    assert_eq!(rest, "");
+    let rest = client.read_response().unwrap_err().kind();
+    assert_eq!(rest, ErrorKind::UnexpectedEof);
     handle.shutdown();
     handle.join();
 }
@@ -187,18 +172,18 @@ fn shutdown_closes_idle_keep_alive_connections_promptly() {
     let addr = handle.addr();
 
     // Park several idle keep-alive connections across the shards.
-    let mut idlers: Vec<KeepAliveClient> = (0..4)
+    let mut idlers: Vec<Client> = (0..4)
         .map(|_| {
-            let mut c = KeepAliveClient::connect(addr);
-            let (status, _) = c.roundtrip("GET", "/healthz", "");
-            assert_eq!(status, 200);
+            let mut c = Client::connect(addr, None).unwrap();
+            let reply = c.roundtrip("GET", "/healthz", "").unwrap();
+            assert_eq!(reply.status, 200);
             c
         })
         .collect();
 
     let started = Instant::now();
-    let (status, _) = common::request(addr, "POST", "/shutdown", "");
-    assert_eq!(status, 200);
+    let reply = client::request(addr, "POST", "/shutdown", "", None).unwrap();
+    assert_eq!(reply.status, 200);
     handle.join();
     assert!(
         started.elapsed() < Duration::from_secs(5),
@@ -208,9 +193,8 @@ fn shutdown_closes_idle_keep_alive_connections_promptly() {
 
     // Every idler was closed by the server (EOF, no stray bytes).
     for c in &mut idlers {
-        let mut rest = String::new();
-        c.stream().read_to_string(&mut rest).unwrap();
-        assert_eq!(rest, "");
+        let rest = c.read_response().unwrap_err().kind();
+        assert_eq!(rest, ErrorKind::UnexpectedEof);
     }
 }
 
@@ -239,8 +223,8 @@ fn half_closed_socket_does_not_stall_drain() {
     assert!(n > 0);
 
     let started = Instant::now();
-    let (status, _) = common::request(addr, "POST", "/shutdown", "");
-    assert_eq!(status, 200);
+    let reply = client::request(addr, "POST", "/shutdown", "", None).unwrap();
+    assert_eq!(reply.status, 200);
     handle.join();
     assert!(
         started.elapsed() < Duration::from_secs(5),

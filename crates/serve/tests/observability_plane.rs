@@ -7,9 +7,7 @@
 //! The obs registry and journal ring are process-global, so every test
 //! serializes on [`obs_lock`] and sets up its own telemetry state.
 
-mod common;
-
-use common::KeepAliveClient;
+use panda_serve::client::{request, Client, Reply};
 use panda_serve::{Server, ServerConfig};
 use serde::Value;
 use std::collections::HashSet;
@@ -65,29 +63,29 @@ fn prometheus_exposition_from_a_live_server_is_conformant() {
 
     // Mixed traffic so the exposition has real RED series: 200s, a 404,
     // and a 405.
-    let mut client = KeepAliveClient::connect(addr);
+    let mut client = Client::connect(addr, None).unwrap();
     for _ in 0..20 {
-        let (status, _) = client.roundtrip("GET", "/healthz", "");
-        assert_eq!(status, 200);
+        let reply = client.roundtrip("GET", "/healthz", "").unwrap();
+        assert_eq!(reply.status, 200);
     }
-    let (status, _) = common::request(addr, "GET", "/no/such/route", "");
+    let Reply { status, .. } = request(addr, "GET", "/no/such/route", "", None).unwrap();
     assert_eq!(status, 404);
-    let (status, _) = common::request(addr, "PUT", "/healthz", "");
+    let Reply { status, .. } = request(addr, "PUT", "/healthz", "", None).unwrap();
     assert_eq!(status, 405);
 
     // Default content negotiation is JSON; ?format=prometheus switches.
-    let (status, json_body) = common::request(addr, "GET", "/metrics", "");
+    let Reply { status, body, .. } = request(addr, "GET", "/metrics", "", None).unwrap();
     assert_eq!(status, 200);
-    assert!(json_body.starts_with('{'), "JSON default: {json_body}");
-    let (status, text) = common::request(addr, "GET", "/metrics?format=prometheus", "");
-    assert_eq!(status, 200);
-    let (status, err) = common::request(addr, "GET", "/metrics?format=xml", "");
-    assert_eq!(status, 400, "{err}");
+    assert!(body.starts_with('{'), "JSON default: {body}");
+    let prom = request(addr, "GET", "/metrics?format=prometheus", "", None).unwrap();
+    assert_eq!(prom.status, 200);
+    let xml = request(addr, "GET", "/metrics?format=xml", "", None).unwrap();
+    assert_eq!(xml.status, 400, "{}", xml.body);
 
     // The in-tree parser enforces the 0.0.4 exposition rules: TYPE
     // lines, family membership, no duplicate series, histogram bucket
     // monotonicity, +Inf/_count agreement.
-    let families = panda_obs::prom::parse(&text).expect("conformant exposition");
+    let families = panda_obs::prom::parse(&prom.body).expect("conformant exposition");
     let family = |name: &str| {
         families
             .iter()
@@ -148,16 +146,16 @@ fn request_ids_are_unique_across_shards_under_concurrent_load() {
     let collectors: Vec<_> = (0..CLIENTS)
         .map(|_| {
             std::thread::spawn(move || -> Vec<String> {
-                let mut client = KeepAliveClient::connect(addr);
+                let mut client = Client::connect(addr, None).unwrap();
                 (0..REQUESTS)
                     .map(|_| {
-                        let raw = client.roundtrip_raw("GET", "/healthz", "");
-                        let start = raw
+                        let head = client.roundtrip("GET", "/healthz", "").unwrap().head;
+                        let start = head
                             .find("X-Request-Id: ")
                             .expect("every response carries a request id")
                             + "X-Request-Id: ".len();
-                        let end = raw[start..].find("\r\n").unwrap() + start;
-                        raw[start..end].to_string()
+                        let end = head[start..].find("\r\n").unwrap() + start;
+                        head[start..end].to_string()
                     })
                     .collect()
             })
@@ -195,13 +193,13 @@ fn events_tail_resumes_gap_free_and_correlates_request_ids() {
     .unwrap();
     let addr = handle.addr();
 
-    let mut client = KeepAliveClient::connect(addr);
+    let mut client = Client::connect(addr, None).unwrap();
     for _ in 0..5 {
-        let (status, _) = client.roundtrip("GET", "/healthz", "");
-        assert_eq!(status, 200);
+        let reply = client.roundtrip("GET", "/healthz", "").unwrap();
+        assert_eq!(reply.status, 200);
     }
 
-    let (status, body) = common::request(addr, "GET", "/events?since=0", "");
+    let Reply { status, body, .. } = request(addr, "GET", "/events?since=0", "", None).unwrap();
     assert_eq!(status, 200);
     let (next, missed, events) = parse_events(&body);
     assert_eq!(missed, 0);
@@ -223,10 +221,11 @@ fn events_tail_resumes_gap_free_and_correlates_request_ids() {
 
     // More traffic, then resume from the cursor: no duplicates, no gaps.
     for _ in 0..3 {
-        let (status, _) = client.roundtrip("GET", "/healthz", "");
-        assert_eq!(status, 200);
+        let reply = client.roundtrip("GET", "/healthz", "").unwrap();
+        assert_eq!(reply.status, 200);
     }
-    let (status, body) = common::request(addr, "GET", &format!("/events?since={next}"), "");
+    let Reply { status, body, .. } =
+        request(addr, "GET", &format!("/events?since={next}"), "", None).unwrap();
     assert_eq!(status, 200);
     let (next2, missed, events) = parse_events(&body);
     assert_eq!(missed, 0);
@@ -253,18 +252,20 @@ fn events_long_poll_parks_until_new_events_arrive() {
     let head = panda_obs::journal_next_seq();
     let poller = std::thread::spawn(move || {
         let started = std::time::Instant::now();
-        let (status, body) = common::request(
+        let Reply { status, body, .. } = request(
             addr,
             "GET",
             &format!("/events?since={head}&timeout_ms=10000"),
             "",
-        );
+            None,
+        )
+        .unwrap();
         (status, body, started.elapsed())
     });
 
     // Give the poll time to park, then generate an event.
     std::thread::sleep(std::time::Duration::from_millis(200));
-    let (status, _) = common::request(addr, "GET", "/healthz", "");
+    let Reply { status, .. } = request(addr, "GET", "/healthz", "", None).unwrap();
     assert_eq!(status, 200);
 
     let (status, body, waited) = poller.join().expect("poller thread");
@@ -294,13 +295,13 @@ fn events_wraparound_reports_missed_and_resumes_clean() {
     let addr = handle.addr();
 
     // Far more events than the ring holds: the oldest are evicted.
-    let mut client = KeepAliveClient::connect(addr);
+    let mut client = Client::connect(addr, None).unwrap();
     for _ in 0..30 {
-        let (status, _) = client.roundtrip("GET", "/healthz", "");
-        assert_eq!(status, 200);
+        let reply = client.roundtrip("GET", "/healthz", "").unwrap();
+        assert_eq!(reply.status, 200);
     }
 
-    let (status, body) = common::request(addr, "GET", "/events?since=0", "");
+    let Reply { status, body, .. } = request(addr, "GET", "/events?since=0", "", None).unwrap();
     assert_eq!(status, 200);
     let (next, missed, events) = parse_events(&body);
     assert!(missed > 0, "ring wrapped; the tail must say so");
@@ -314,7 +315,8 @@ fn events_wraparound_reports_missed_and_resumes_clean() {
 
     // Resuming from the returned cursor is gap-free (nothing evicted
     // from under an up-to-date cursor while traffic is stopped).
-    let (status, body) = common::request(addr, "GET", &format!("/events?since={next}"), "");
+    let Reply { status, body, .. } =
+        request(addr, "GET", &format!("/events?since={next}"), "", None).unwrap();
     assert_eq!(status, 200);
     let (_, missed, _) = parse_events(&body);
     assert_eq!(missed, 0, "fresh cursor sees no further loss");

@@ -7,6 +7,7 @@
 mod common;
 
 use panda_serve::api::{CreateSessionRequest, SessionConfigDto};
+use panda_serve::client::{request, Reply};
 use panda_serve::http::{Request, Response};
 use panda_serve::persist::{SnapshotFile, WalRecord};
 use panda_serve::repl::{HandoffRequest, ReplMsg};
@@ -61,27 +62,22 @@ const LF2: &str = r#"{"name":"price_tol","kind":"numeric_tolerance","attr":"pric
 /// The standard edit sequence over the wire: create, two LFs, fit, one
 /// label — WAL seqs 1..=5.
 fn drive_over_http(addr: SocketAddr) -> u64 {
-    let (status, body) = common::request(addr, "POST", "/sessions", &create_body());
-    assert_eq!(status, 200, "{body}");
+    let post = |path: &str, body: &str| {
+        let Reply { status, body, .. } = request(addr, "POST", path, body, None).unwrap();
+        assert_eq!(status, 200, "{path}: {body}");
+        body
+    };
+    let body = post("/sessions", &create_body());
     let id: u64 = body
         .split("\"session\":")
         .nth(1)
         .and_then(|s| s.split(|c: char| !c.is_ascii_digit()).next())
         .and_then(|s| s.parse().ok())
         .unwrap_or_else(|| panic!("no session id in {body}"));
-    for lf in [LF1, LF2] {
-        let (status, body) = common::request(addr, "POST", &format!("/sessions/{id}/lfs"), lf);
-        assert_eq!(status, 200, "{body}");
+    let label = r#"{"candidate":0,"is_match":true}"#;
+    for (route, body) in [("lfs", LF1), ("lfs", LF2), ("fit", ""), ("labels", label)] {
+        post(&format!("/sessions/{id}/{route}"), body);
     }
-    let (status, body) = common::request(addr, "POST", &format!("/sessions/{id}/fit"), "");
-    assert_eq!(status, 200, "{body}");
-    let (status, body) = common::request(
-        addr,
-        "POST",
-        &format!("/sessions/{id}/labels"),
-        r#"{"candidate":0,"is_match":true}"#,
-    );
-    assert_eq!(status, 200, "{body}");
     id
 }
 
@@ -102,7 +98,7 @@ fn wait_for(mut cond: impl FnMut() -> bool, what: &str) {
 
 /// Follower listing shows the session caught up to `seq`.
 fn follower_caught_up(addr: SocketAddr, id: u64, seq: u64) -> bool {
-    let (status, body) = common::request(addr, "GET", "/sessions", "");
+    let Reply { status, body, .. } = request(addr, "GET", "/sessions", "", None).unwrap();
     status == 200 && body.contains(&format!("\"session\":{id}")) && {
         body.contains(&format!("\"wal_seq\":{seq}"))
     }
@@ -131,8 +127,8 @@ fn follower_reads_are_byte_identical_and_mutations_answer_421() {
     wait_for(|| follower_caught_up(f, id, 5), "follower to apply seq 5");
 
     // The listing agrees on cursor AND digest, and names the roles.
-    let (_, p_list) = common::request(p, "GET", "/sessions", "");
-    let (_, f_list) = common::request(f, "GET", "/sessions", "");
+    let p_list = request(p, "GET", "/sessions", "", None).unwrap().body;
+    let f_list = request(f, "GET", "/sessions", "", None).unwrap().body;
     let digest_of = |body: &str| {
         body.split("\"matrix_digest\":\"")
             .nth(1)
@@ -145,17 +141,20 @@ fn follower_reads_are_byte_identical_and_mutations_answer_421() {
     assert!(f_list.contains("\"role\":\"follower\""), "{f_list}");
 
     // Follower reads are byte-identical to the primary's.
-    let (ps, p_match) = common::request(p, "POST", "/match", &match_request(id));
-    let (fs, f_match) = common::request(f, "POST", "/match", &match_request(id));
+    let [(ps, p_match), (fs, f_match)] = [p, f].map(|a| {
+        let reply = request(a, "POST", "/match", &match_request(id), None).unwrap();
+        (reply.status, reply.body)
+    });
     assert_eq!((ps, fs), (200, 200), "{p_match} / {f_match}");
     assert_eq!(p_match, f_match, "follower /match must be byte-identical");
     let q = r#"{"lf":"name_overlap","query":"VotedMatch","limit":8}"#;
-    let (_, p_rows) = common::request(p, "POST", &format!("/sessions/{id}/query"), q);
-    let (_, f_rows) = common::request(f, "POST", &format!("/sessions/{id}/query"), q);
+    let query = format!("/sessions/{id}/query");
+    let [p_rows, f_rows] = [p, f].map(|a| request(a, "POST", &query, q, None).unwrap().body);
     assert_eq!(p_rows, f_rows, "follower query must be byte-identical");
 
     // Mutations on the follower answer 421 naming the primary.
-    let (status, body) = common::request(f, "POST", &format!("/sessions/{id}/lfs"), LF1);
+    let lfs = format!("/sessions/{id}/lfs");
+    let Reply { status, body, .. } = request(f, "POST", &lfs, LF1, None).unwrap();
     assert_eq!(status, 421, "{body}");
     assert!(body.contains("not_primary"), "{body}");
     assert!(
@@ -164,18 +163,15 @@ fn follower_reads_are_byte_identical_and_mutations_answer_421() {
     );
 
     // Promote: the follower becomes a primary and accepts writes.
-    let (status, body) = common::request(f, "POST", "/promote", "");
+    let Reply { status, body, .. } = request(f, "POST", "/promote", "", None).unwrap();
     assert_eq!(status, 200, "{body}");
     assert!(body.contains("\"promoted\":true"), "{body}");
-    let (status, body) = common::request(f, "POST", "/promote", "");
+    let Reply { status, body, .. } = request(f, "POST", "/promote", "", None).unwrap();
     assert_eq!(status, 200, "{body}");
     assert!(body.contains("\"promoted\":false"), "idempotent: {body}");
-    let (status, body) = common::request(
-        f,
-        "POST",
-        &format!("/sessions/{id}/labels"),
-        r#"{"candidate":1,"is_match":false}"#,
-    );
+    let label = r#"{"candidate":1,"is_match":false}"#;
+    let labels = format!("/sessions/{id}/labels");
+    let Reply { status, body, .. } = request(f, "POST", &labels, label, None).unwrap();
     assert_eq!(status, 200, "promoted follower takes writes: {body}");
 
     primary.shutdown();
@@ -209,16 +205,16 @@ fn graceful_drain_ships_the_unreplicated_tail() {
     let warm = drive_over_http(p);
     wait_for(|| follower_caught_up(f, warm, 5), "subscription warm-up");
 
-    let (_, p_match) = common::request(p, "POST", "/match", &match_request(warm));
+    let pm = request(p, "POST", "/match", &match_request(warm), None).unwrap();
     // Shut down immediately after the last ack: join() must ship
     // whatever the hub still holds before the process lets go.
     primary.shutdown();
     primary.join();
 
     wait_for(|| follower_caught_up(f, warm, 5), "drain-shipped tail");
-    let (status, f_match) = common::request(f, "POST", "/match", &match_request(warm));
-    assert_eq!(status, 200, "{f_match}");
-    assert_eq!(p_match, f_match, "post-drain follower state must match");
+    let fm = request(f, "POST", "/match", &match_request(warm), None).unwrap();
+    assert_eq!(fm.status, 200, "{}", fm.body);
+    assert_eq!(pm.body, fm.body, "post-drain follower state must match");
 
     follower.shutdown();
     follower.join();
@@ -433,19 +429,20 @@ fn rebalance_moves_a_session_with_byte_parity() {
     .unwrap();
 
     let id = drive_over_http(a.addr());
-    let (_, pre) = common::request(a.addr(), "POST", "/match", &match_request(id));
+    let m = match_request(id);
+    let pre = request(a.addr(), "POST", "/match", &m, None).unwrap().body;
 
     let body = format!(r#"{{"session":{id},"target":"{}"}}"#, b.addr());
-    let (status, resp) = common::request(a.addr(), "POST", "/rebalance", &body);
-    assert_eq!(status, 200, "{resp}");
-    assert!(resp.contains("\"status\":\"moved\""), "{resp}");
+    let Reply { status, body, .. } = request(a.addr(), "POST", "/rebalance", &body, None).unwrap();
+    assert_eq!(status, 200, "{body}");
+    assert!(body.contains("\"status\":\"moved\""), "{body}");
 
     // Gone from the source, byte-identical on the target.
-    let (status, resp) = common::request(a.addr(), "POST", "/match", &match_request(id));
-    assert_eq!(status, 404, "moved session must leave the source: {resp}");
-    let (status, post) = common::request(b.addr(), "POST", "/match", &match_request(id));
-    assert_eq!(status, 200, "{post}");
-    assert_eq!(pre, post, "moved session must answer byte-identically");
+    let Reply { status, body, .. } = request(a.addr(), "POST", "/match", &m, None).unwrap();
+    assert_eq!(status, 404, "moved session must leave the source: {body}");
+    let Reply { status, body, .. } = request(b.addr(), "POST", "/match", &m, None).unwrap();
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(pre, body, "moved session must answer byte-identically");
 
     a.shutdown();
     a.join();
@@ -507,28 +504,30 @@ fn promoted_follower_edits_then_rebalances_to_a_storeless_shard() {
 
     let id = drive_over_http(primary.addr());
     wait_for(|| follower_caught_up(f, id, 5), "follower to apply seq 5");
-    let (status, body) = common::request(f, "POST", "/promote", "");
+    let Reply { status, body, .. } = request(f, "POST", "/promote", "", None).unwrap();
     assert_eq!(status, 200, "{body}");
     for (method, path, body) in edits(id) {
-        let (status, resp) = common::request(f, method, &path, body);
-        assert_eq!(status, 200, "{method} {path}: {resp}");
+        let Reply { status, body, .. } = request(f, method, &path, body, None).unwrap();
+        assert_eq!(status, 200, "{method} {path}: {body}");
     }
-    let (_, pre_match) = common::request(f, "POST", "/match", &match_request(id));
-    let (_, pre_body) = common::request(f, "GET", &format!("/sessions/{id}"), "");
-    let (_, pre_list) = common::request(f, "GET", "/sessions", "");
+    let session = format!("/sessions/{id}");
+    let m = match_request(id);
+    let pre_match = request(f, "POST", "/match", &m, None).unwrap().body;
+    let pre_body = request(f, "GET", &session, "", None).unwrap().body;
+    let pre_list = request(f, "GET", "/sessions", "", None).unwrap().body;
     assert_eq!(listed_cursor(&pre_list).0, "9", "{pre_list}");
 
     let move_body = format!(r#"{{"session":{id},"target":"{t}"}}"#);
-    let (status, resp) = common::request(f, "POST", "/rebalance", &move_body);
-    assert_eq!(status, 200, "{resp}");
-    assert!(resp.contains("\"status\":\"moved\""), "{resp}");
+    let Reply { status, body, .. } = request(f, "POST", "/rebalance", &move_body, None).unwrap();
+    assert_eq!(status, 200, "{body}");
+    assert!(body.contains("\"status\":\"moved\""), "{body}");
 
-    let (status, post_match) = common::request(t, "POST", "/match", &match_request(id));
-    assert_eq!(status, 200, "{post_match}");
-    assert_eq!(pre_match, post_match, "moved /match must be byte-identical");
-    let (_, post_body) = common::request(t, "GET", &format!("/sessions/{id}"), "");
+    let Reply { status, body, .. } = request(t, "POST", "/match", &m, None).unwrap();
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(pre_match, body, "moved /match must be byte-identical");
+    let post_body = request(t, "GET", &session, "", None).unwrap().body;
     assert_eq!(pre_body, post_body, "moved session body must be identical");
-    let (_, post_list) = common::request(t, "GET", "/sessions", "");
+    let post_list = request(t, "GET", "/sessions", "", None).unwrap().body;
     assert_eq!(listed_cursor(&pre_list), listed_cursor(&post_list));
 
     for server in [primary, follower, target] {
@@ -622,7 +621,7 @@ fn shard_ring_misdirects_foreign_sessions_with_421() {
     // Sessions minted on A are always A-owned: the listing proves it
     // and publishes the shard map.
     let id = drive_over_http(a.addr());
-    let (_, listing) = common::request(a.addr(), "GET", "/sessions", "");
+    let Reply { body: listing, .. } = request(a.addr(), "GET", "/sessions", "", None).unwrap();
     assert!(
         listing.contains(&format!("\"shard\":\"{addr_a}\"")),
         "{listing}"
@@ -631,14 +630,15 @@ fn shard_ring_misdirects_foreign_sessions_with_421() {
     assert!(listing.contains(&addr_b.to_string()), "{listing}");
 
     // B refuses A's session, naming the owner.
-    let (status, body) = common::request(b.addr(), "GET", &format!("/sessions/{id}"), "");
+    let session = format!("/sessions/{id}");
+    let Reply { status, body, .. } = request(b.addr(), "GET", &session, "", None).unwrap();
     assert_eq!(status, 421, "{body}");
     assert!(body.contains("misdirected"), "{body}");
     assert!(body.contains(&addr_a.to_string()), "{body}");
 
     // A serves its own session normally despite the ring.
-    let (status, _) = common::request(a.addr(), "POST", "/match", &match_request(id));
-    assert_eq!(status, 200);
+    let own = request(a.addr(), "POST", "/match", &match_request(id), None).unwrap();
+    assert_eq!(own.status, 200);
 
     a.shutdown();
     a.join();

@@ -1,8 +1,7 @@
 //! Wire-level robustness: structured errors, body caps, load shedding,
 //! and graceful drain — the behaviors a client can rely on under abuse.
 
-mod common;
-
+use panda_serve::client::{request, Reply};
 use panda_serve::{Server, ServerConfig};
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -16,19 +15,19 @@ fn malformed_json_and_unknown_routes_are_structured_errors() {
     .unwrap();
     let addr = handle.addr();
 
-    let (status, body) = common::request(addr, "POST", "/sessions", "{not json");
+    let Reply { status, body, .. } = request(addr, "POST", "/sessions", "{not json", None).unwrap();
     assert_eq!(status, 400);
     assert!(body.contains("\"code\":\"bad_json\""), "{body}");
 
-    let (status, body) = common::request(addr, "GET", "/no/such/route", "");
+    let Reply { status, body, .. } = request(addr, "GET", "/no/such/route", "", None).unwrap();
     assert_eq!(status, 404);
     assert!(body.contains("\"code\":\"not_found\""), "{body}");
 
-    let (status, body) = common::request(addr, "DELETE", "/metrics", "");
+    let Reply { status, body, .. } = request(addr, "DELETE", "/metrics", "", None).unwrap();
     assert_eq!(status, 405);
     assert!(body.contains("\"code\":\"method_not_allowed\""), "{body}");
 
-    let (status, body) = common::request(addr, "POST", "/sessions/999/fit", "");
+    let Reply { status, body, .. } = request(addr, "POST", "/sessions/999/fit", "", None).unwrap();
     assert_eq!(status, 404);
     assert!(body.contains("\"code\":\"unknown_session\""), "{body}");
 
@@ -46,7 +45,7 @@ fn oversized_bodies_get_413() {
     .unwrap();
     let addr = handle.addr();
     let big = "x".repeat(4096);
-    let (status, body) = common::request(addr, "POST", "/sessions", &big);
+    let Reply { status, body, .. } = request(addr, "POST", "/sessions", &big, None).unwrap();
     assert_eq!(status, 413);
     assert!(body.contains("\"code\":\"payload_too_large\""), "{body}");
     handle.shutdown();
@@ -64,7 +63,7 @@ fn zero_conn_budget_sheds_with_503() {
     })
     .unwrap();
     let addr = handle.addr();
-    let (status, body) = common::request(addr, "GET", "/healthz", "");
+    let Reply { status, body, .. } = request(addr, "GET", "/healthz", "", None).unwrap();
     assert_eq!(status, 503);
     assert!(body.contains("\"code\":\"overloaded\""), "{body}");
     handle.shutdown();
@@ -88,7 +87,7 @@ fn shutdown_drains_inflight_requests() {
     // so the straggler is genuinely mid-request at shutdown.
     std::thread::sleep(std::time::Duration::from_millis(200));
 
-    let (status, _) = common::request(addr, "POST", "/shutdown", "");
+    let status = request(addr, "POST", "/shutdown", "", None).unwrap().status;
     assert_eq!(status, 200);
 
     write!(slow, "Host: t\r\n\r\n").unwrap();

@@ -7,6 +7,7 @@ mod common;
 use panda_serve::api::{
     CreateSessionRequest, LfSpec, MatchRequest, MatchResponse, SessionConfigDto, SessionResponse,
 };
+use panda_serve::client::request;
 use panda_serve::{Server, ServerConfig};
 use panda_session::{DebugQuery, PandaSession};
 use panda_table::CandidatePair;
@@ -73,29 +74,24 @@ fn server_flow_is_bit_identical_to_offline_session() {
     })
     .unwrap();
     let addr = handle.addr();
+    // Every step must answer 200; its body is what parity compares.
+    let post = |path: &str, body: String| {
+        let reply = request(addr, "POST", path, &body, None).unwrap();
+        assert_eq!(reply.status, 200, "{path}: {}", reply.body);
+        reply.body
+    };
 
-    let (status, body) = common::request(
-        addr,
-        "POST",
-        "/sessions",
-        &serde_json::to_string(&create).unwrap(),
-    );
-    assert_eq!(status, 200, "{body}");
-    let created: SessionResponse = serde_json::from_str(&body).unwrap();
-    let id = created.session;
-
+    let created = post("/sessions", serde_json::to_string(&create).unwrap());
+    let id = serde_json::from_str::<SessionResponse>(&created)
+        .unwrap()
+        .session;
     for spec in lf_specs() {
-        let (status, body) = common::request(
-            addr,
-            "POST",
+        post(
             &format!("/sessions/{id}/lfs"),
-            &serde_json::to_string(&spec).unwrap(),
+            serde_json::to_string(&spec).unwrap(),
         );
-        assert_eq!(status, 200, "{body}");
     }
-
-    let (status, fit_body) = common::request(addr, "POST", &format!("/sessions/{id}/fit"), "");
-    assert_eq!(status, 200, "{fit_body}");
+    let fit_body = post(&format!("/sessions/{id}/fit"), String::new());
 
     // Snapshot parity: EM stats, every LF stats row, event count — the
     // whole panel state serializes identically.
@@ -107,13 +103,8 @@ fn server_flow_is_bit_identical_to_offline_session() {
     assert_eq!(fit_body, expected, "server snapshot != offline snapshot");
 
     // Query parity: same rows, same order, same posteriors.
-    let (status, q_body) = common::request(
-        addr,
-        "POST",
-        &format!("/sessions/{id}/query"),
-        r#"{"lf":"name_overlap","query":"VotedMatch","limit":10}"#,
-    );
-    assert_eq!(status, 200, "{q_body}");
+    let query = r#"{"lf":"name_overlap","query":"VotedMatch","limit":10}"#;
+    let q_body = post(&format!("/sessions/{id}/query"), query.to_string());
     let expected_rows = format!(
         "{{\"rows\":{}}}",
         serde_json::to_string(&offline_rows).unwrap()
@@ -121,30 +112,20 @@ fn server_flow_is_bit_identical_to_offline_session() {
     assert_eq!(q_body, expected_rows, "server query != offline debug_pairs");
 
     // Match parity: ad-hoc scores are the exact same f64s.
-    let (status, m_body) = common::request(
-        addr,
-        "POST",
-        "/match",
-        &serde_json::to_string(&MatchRequest {
-            session: id,
-            pairs: probe_pairs,
-        })
-        .unwrap(),
-    );
-    assert_eq!(status, 200, "{m_body}");
+    let pairs = MatchRequest {
+        session: id,
+        pairs: probe_pairs,
+    };
+    let m_body = post("/match", serde_json::to_string(&pairs).unwrap());
     let scores: MatchResponse = serde_json::from_str(&m_body).unwrap();
     assert_eq!(scores.scores, offline_scores, "server scores != offline");
 
     // A pair that is also a candidate scores its fitted posterior exactly.
     let cand0 = offline.candidates().get(0).unwrap();
-    let (_, one) = common::request(
-        addr,
-        "POST",
+    let (l, r) = (cand0.left.0, cand0.right.0);
+    let one = post(
         "/match",
-        &format!(
-            r#"{{"session":{id},"pairs":[[{},{}]]}}"#,
-            cand0.left.0, cand0.right.0
-        ),
+        format!(r#"{{"session":{id},"pairs":[[{l},{r}]]}}"#),
     );
     let one: MatchResponse = serde_json::from_str(&one).unwrap();
     assert_eq!(one.scores[0], offline.posteriors()[0]);
