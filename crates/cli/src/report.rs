@@ -4,6 +4,7 @@
 //! transitivity projection summary, auto-LF grid decisions, and the
 //! paper's "where does each LF disagree with the model" panel.
 
+use panda_obs::SpanStats;
 use panda_serve::client::{self, Reply};
 use serde::Value;
 use std::collections::BTreeMap;
@@ -114,24 +115,22 @@ fn render_span_tree(out: &mut String, events: &[Event]) {
     }
     walk(out, &children, 0, 0);
 
-    // Per-name aggregate with the log2 duration histogram as a sparkline
-    // (same bucketing the metrics snapshot uses).
+    // Per-name aggregate with the log2 duration histogram as a sparkline,
+    // through the metrics snapshot's own `SpanStats`.
     out.push_str("\nspan histograms:\n");
-    let mut agg: BTreeMap<&str, (u64, u64, [u64; panda_obs::HIST_BUCKETS])> = BTreeMap::new();
+    let mut agg: BTreeMap<&str, SpanStats> = BTreeMap::new();
     for s in &spans {
-        let ns = f_u64(s, "dur_ns");
-        let bucket = (127 - u128::from(ns.max(1)).leading_zeros()) as usize;
-        let entry = agg.entry(f_str(s, "name")).or_default();
-        entry.0 += 1;
-        entry.1 += ns;
-        entry.2[bucket.min(panda_obs::HIST_BUCKETS - 1)] += 1;
+        agg.entry(f_str(s, "name"))
+            .or_default()
+            .record(u128::from(f_u64(s, "dur_ns")));
     }
     let wide = agg.keys().map(|k| k.len()).max().unwrap_or(0);
-    for (name, (count, total, hist)) in &agg {
+    for (name, stats) in &agg {
         out.push_str(&format!(
-            "  {name:<wide$}  n={count:<6} total={:>10}  {}\n",
-            fmt_ms(*total),
-            panda_obs::sparkline(hist),
+            "  {name:<wide$}  n={:<6} total={:>10}  {}\n",
+            stats.count,
+            fmt_ms(stats.total_ns as u64),
+            stats.sparkline(),
         ));
     }
 }

@@ -352,17 +352,12 @@ impl PandaModel {
             // parameter means are extra work, so they are computed
             // exclusively when someone is recording.
             if panda_obs::journal_enabled() {
-                let ll = pat.count_weighted(|r| {
-                    let mut lm = pi.ln();
-                    let mut lu = (1.0 - pi).ln();
-                    for j in 0..m {
-                        let slot = CODE_SLOT[pat.code(r, j) as usize];
-                        lm += theta_m[j][slot].ln();
-                        lu += theta_u[j][slot].ln();
-                    }
-                    let mx = lm.max(lu);
-                    mx + ((lm - mx).exp() + (lu - mx).exp()).ln()
-                });
+                let ln_tables: Vec<[(f64, f64); 4]> = theta_m
+                    .iter()
+                    .zip(&theta_u)
+                    .map(|(tm, tu)| CODE_SLOT.map(|slot| (tm[slot].ln(), tu[slot].ln())))
+                    .collect();
+                let ll = pat.log_likelihood(pi, &ln_tables);
                 let mean = |f: &dyn Fn(usize) -> f64| (0..m).map(f).sum::<f64>() / m.max(1) as f64;
                 panda_obs::event("model.em.iter")
                     .field("model", "panda")

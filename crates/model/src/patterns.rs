@@ -176,11 +176,6 @@ impl VotePatterns {
         &self.lf_votes
     }
 
-    /// 2-bit vote code of LF `j` on row `r`.
-    pub(crate) fn code(&self, r: usize, j: usize) -> u8 {
-        self.columns[j].code(r)
-    }
-
     /// Responsibilities as one value per pair (per-row values scattered
     /// through `row_of`).
     pub(crate) fn to_pairs(&self, resp: &Resp) -> Vec<f64> {
@@ -313,17 +308,7 @@ impl VotePatterns {
     /// either path. Replaces `resp` and returns the mean `|Δγ|` over pairs.
     pub(crate) fn e_step(&self, base: f64, tables: &[[f64; 4]], resp: &mut Resp) -> f64 {
         let mut gamma = vec![base; self.n_rows()];
-        for (col, table) in self.columns.iter().zip(tables) {
-            for (w_idx, &word) in col.words().iter().enumerate() {
-                let start = w_idx * VOTES_PER_WORD;
-                let lanes = (gamma.len() - start).min(VOTES_PER_WORD);
-                let mut w = word;
-                for lo in &mut gamma[start..start + lanes] {
-                    *lo += table[(w & 0b11) as usize];
-                    w >>= 2;
-                }
-            }
-        }
+        self.fold_terms(&mut gamma, tables, |lo, t| *lo += t);
         for g in &mut gamma {
             *g = sigmoid(*g);
         }
@@ -342,6 +327,40 @@ impl VotePatterns {
         };
         *resp = Resp::Rows(gamma);
         real(moved) / self.n_pairs as f64
+    }
+
+    /// The observed-data log-likelihood over pairs,
+    /// `Σ_r count_r · ln(π·Π_j P(code_rj | M) + (1−π)·Π_j P(code_rj | U))`,
+    /// from per-LF tables mapping each 2-bit code to
+    /// `(ln P(code | M), ln P(code | U))`. Per row the terms add to
+    /// `ln π` and `ln(1−π)` in ascending LF order.
+    pub(crate) fn log_likelihood(&self, pi: f64, tables: &[[(f64, f64); 4]]) -> f64 {
+        let mut rows = vec![(pi.ln(), (1.0 - pi).ln()); self.n_rows()];
+        self.fold_terms(&mut rows, tables, |(lm, lu), (tm, tu)| {
+            *lm += tm;
+            *lu += tu;
+        });
+        self.count_weighted(|r| {
+            let (lm, lu) = rows[r];
+            let mx = lm.max(lu);
+            mx + ((lm - mx).exp() + (lu - mx).exp()).ln()
+        })
+    }
+
+    /// For each LF in ascending order and each row, `add` that LF's table
+    /// entry for the row's 2-bit code into the row's accumulator.
+    fn fold_terms<A, T: Copy>(&self, rows: &mut [A], tables: &[[T; 4]], add: impl Fn(&mut A, T)) {
+        for (col, table) in self.columns.iter().zip(tables) {
+            for (w_idx, &word) in col.words().iter().enumerate() {
+                let start = w_idx * VOTES_PER_WORD;
+                let lanes = (rows.len() - start).min(VOTES_PER_WORD);
+                let mut w = word;
+                for row in &mut rows[start..start + lanes] {
+                    add(row, table[(w & 0b11) as usize]);
+                    w >>= 2;
+                }
+            }
+        }
     }
 }
 

@@ -170,25 +170,16 @@ impl SnorkelModel {
             // recording. Propensity is class-independent in this model —
             // it contributes a constant and is omitted.
             if panda_obs::journal_enabled() {
-                let ll = pat.count_weighted(|r| {
-                    let mut lm = pi.ln();
-                    let mut lu = (1.0 - pi).ln();
-                    for (j, &a) in acc.iter().enumerate() {
-                        match pat.code(r, j) {
-                            0b01 => {
-                                lm += a.ln();
-                                lu += (1.0 - a).ln();
-                            }
-                            0b10 => {
-                                lm += (1.0 - a).ln();
-                                lu += a.ln();
-                            }
-                            _ => {}
-                        }
-                    }
-                    let mx = lm.max(lu);
-                    mx + ((lm - mx).exp() + (lu - mx).exp()).ln()
-                });
+                // Abstains add an exact `+0.0`, which leaves the running
+                // sums' bits unchanged.
+                let ln_tables: Vec<[(f64, f64); 4]> = acc
+                    .iter()
+                    .map(|&a| {
+                        let (hit, miss) = (a.ln(), (1.0 - a).ln());
+                        [(0.0, 0.0), (hit, miss), (miss, hit), (0.0, 0.0)]
+                    })
+                    .collect();
+                let ll = pat.log_likelihood(pi, &ln_tables);
                 let mean_acc = acc.iter().sum::<f64>() / m.max(1) as f64;
                 panda_obs::event("model.em.iter")
                     .field("model", "snorkel")

@@ -4,7 +4,9 @@
 //! Every hot path in the workspace reports *what it did* through this
 //! crate — how long each stage took ([`span`]), how many items it
 //! processed ([`counter_add`]), point-in-time measurements
-//! ([`gauge_set`] / [`gauge_add`]), and, when the journal is on, a
+//! ([`gauge_set`]), the same split by labels ([`hist_record_labeled`],
+//! [`counter_add_labeled`], [`gauge_set_labeled`] /
+//! [`gauge_add_labeled`]), and, when the journal is on, a
 //! stream of structured provenance events ([`event`]) that records what
 //! happened *during* the run (per-EM-iteration state, auto-LF grid
 //! decisions, per-LF disagreement structure). The design constraints,
@@ -52,7 +54,10 @@
 //! The registry is process-global: a session's stages (blocking, auto-LF
 //! grid, matrix apply, EM fits) all land in one snapshot, keyed by
 //! dotted names (`"autolf.score_grid"`, `"model.panda.em_iters.snorkel"`).
-//! Call [`reset`] between runs that must not share aggregates — it also
+//! It is one map per kind — histograms (spans), counters, gauges — from
+//! a name to that family's series, each keyed by its sorted label set;
+//! an unlabelled metric is the series with the empty label set. Call
+//! [`reset`] between runs that must not share aggregates — it also
 //! clears the journal.
 
 use std::cell::RefCell;
@@ -76,21 +81,71 @@ const JOURNAL_BIT: u8 = 2;
 /// the only path benchmarks ever see — is a single relaxed load.
 static FLAGS: AtomicU8 = AtomicU8::new(0);
 
-static SPANS: Mutex<BTreeMap<String, SpanStats>> = Mutex::new(BTreeMap::new());
-static COUNTERS: Mutex<BTreeMap<String, u64>> = Mutex::new(BTreeMap::new());
-static GAUGES: Mutex<BTreeMap<String, f64>> = Mutex::new(BTreeMap::new());
-
-/// One series' identity inside a labeled family: `(key, value)` pairs,
-/// sorted by key (the recording APIs normalize, so `[("a","1"),("b","2")]`
-/// and `[("b","2"),("a","1")]` are the same series).
+/// One series' identity inside a family: `(key, value)` pairs, sorted
+/// by key (the recording APIs normalize, so `[("a","1"),("b","2")]` and
+/// `[("b","2"),("a","1")]` are the same series). The empty set is the
+/// family's unlabelled series.
 pub type LabelSet = Vec<(String, String)>;
 
-static LABELED_COUNTERS: Mutex<BTreeMap<String, BTreeMap<LabelSet, u64>>> =
-    Mutex::new(BTreeMap::new());
-static LABELED_GAUGES: Mutex<BTreeMap<String, BTreeMap<LabelSet, f64>>> =
-    Mutex::new(BTreeMap::new());
-static LABELED_HISTS: Mutex<BTreeMap<String, BTreeMap<LabelSet, SpanStats>>> =
-    Mutex::new(BTreeMap::new());
+/// Every family of one metric kind: name → label set → value.
+type Families<T> = BTreeMap<String, BTreeMap<LabelSet, T>>;
+
+/// The aggregate registry. Each kind has its own map, so one name may be
+/// a histogram, a counter and a gauge at once.
+#[derive(Clone)]
+struct Registry {
+    hists: Families<SpanStats>,
+    counters: Families<u64>,
+    gauges: Families<f64>,
+}
+
+impl Registry {
+    const fn new() -> Self {
+        Registry {
+            hists: BTreeMap::new(),
+            counters: BTreeMap::new(),
+            gauges: BTreeMap::new(),
+        }
+    }
+}
+
+static REGISTRY: Mutex<Registry> = Mutex::new(Registry::new());
+
+/// Normalize a call-site label slice into the canonical sorted form.
+fn label_set(labels: &[(&str, &str)]) -> LabelSet {
+    let mut set: LabelSet = labels
+        .iter()
+        .map(|(k, v)| (k.to_string(), v.to_string()))
+        .collect();
+    set.sort();
+    set
+}
+
+/// Apply `f` to the series `name{labels}` of the kind `kind` selects,
+/// creating the series at its default value. The label set is built
+/// before the lock is taken and, when the series exists, freed after it
+/// is released.
+fn update<T: Default>(
+    kind: fn(&mut Registry) -> &mut Families<T>,
+    name: &str,
+    labels: &[(&str, &str)],
+    f: impl FnOnce(&mut T),
+) {
+    let set = label_set(labels);
+    let mut registry = lock(&REGISTRY);
+    let families = kind(&mut registry);
+    if let Some(series) = families
+        .get_mut(name)
+        .and_then(|family| family.get_mut(&set))
+    {
+        return f(series);
+    }
+    f(families
+        .entry(name.to_string())
+        .or_default()
+        .entry(set)
+        .or_default());
+}
 
 /// Recover the map even if a panic unwound through a recording call
 /// (poisoning would otherwise turn one quarantined LF panic into a
@@ -151,12 +206,7 @@ pub fn journal_enabled() -> bool {
 /// of each experiment binary, so back-to-back invocations in one
 /// process cannot bleed into each other's `<id>.metrics.json`.
 pub fn reset() {
-    lock(&SPANS).clear();
-    lock(&COUNTERS).clear();
-    lock(&GAUGES).clear();
-    lock(&LABELED_COUNTERS).clear();
-    lock(&LABELED_GAUGES).clear();
-    lock(&LABELED_HISTS).clear();
+    *lock(&REGISTRY) = Registry::new();
     let mut j = lock(&JOURNAL);
     j.events.clear();
     j.dropped = 0;
@@ -220,7 +270,9 @@ pub struct SpanStats {
 }
 
 impl SpanStats {
-    fn record(&mut self, ns: u128) {
+    /// Add one observation of `ns`, binned by the log₂ rule every
+    /// histogram in the registry uses (see [`HIST_BUCKETS`]).
+    pub fn record(&mut self, ns: u128) {
         if self.count == 0 {
             self.min_ns = ns;
             self.max_ns = ns;
@@ -304,10 +356,7 @@ impl Drop for Span {
         let Some(start) = self.start else { return };
         let ns = start.elapsed().as_nanos();
         if self.metrics {
-            lock(&SPANS)
-                .entry(self.name.to_string())
-                .or_default()
-                .record(ns);
+            update(|r| &mut r.hists, self.name, &[], |s| s.record(ns));
         }
         if let Some((id, parent)) = self.journal {
             SPAN_STACK.with(|s| {
@@ -364,135 +413,59 @@ pub fn span(name: &'static str) -> Span {
     }
 }
 
-/// Record an already-measured duration under a span name (for call sites
-/// that cannot hold a guard across the timed region).
-pub fn span_record(name: &str, ns: u128) {
-    if !enabled() {
-        return;
-    }
-    let mut map = lock(&SPANS);
-    match map.get_mut(name) {
-        Some(s) => s.record(ns),
-        None => {
-            map.entry(name.to_string()).or_default().record(ns);
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
-// Counters and gauges
+// Counters, gauges and labelled series
 // ---------------------------------------------------------------------------
+//
+// A family is one dotted name; its series are keyed by sorted
+// `(key, value)` label sets. Label *keys* come from a small fixed
+// vocabulary at each call site (`route`, `status`, `shard`); label
+// *values* must be low-cardinality — route patterns, status codes, shard
+// indices — never raw paths, session ids, or user input, or the registry
+// becomes an unbounded memory leak. An empty label slice addresses the
+// family's unlabelled series, the one the unlabelled calls and span
+// guards record to; every `*_labeled` call site passes at least one
+// label. Disabled, every call is one relaxed load.
 
 /// Add `delta` to the monotonic counter `name`. No-op when disabled.
 #[inline]
 pub fn counter_add(name: &str, delta: u64) {
-    if !enabled() {
-        return;
-    }
-    let mut map = lock(&COUNTERS);
-    match map.get_mut(name) {
-        Some(v) => *v += delta,
-        None => {
-            map.insert(name.to_string(), delta);
-        }
-    }
+    counter_add_labeled(name, &[], delta);
 }
 
 /// Set the gauge `name` to `value` (last write wins). No-op when
 /// disabled.
 #[inline]
 pub fn gauge_set(name: &str, value: f64) {
-    if !enabled() {
-        return;
-    }
-    lock(&GAUGES).insert(name.to_string(), value);
-}
-
-/// Add `delta` to the gauge `name` (accumulating float measurements,
-/// e.g. violation mass absorbed across projection sweeps). No-op when
-/// disabled.
-#[inline]
-pub fn gauge_add(name: &str, delta: f64) {
-    if !enabled() {
-        return;
-    }
-    let mut map = lock(&GAUGES);
-    match map.get_mut(name) {
-        Some(v) => *v += delta,
-        None => {
-            map.insert(name.to_string(), delta);
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Labeled (dimensional) metrics
-// ---------------------------------------------------------------------------
-//
-// A thin dimensional layer over the same registry discipline: one family
-// per dotted name, one series per sorted `(key, value)` label set. Label
-// *keys* come from a small fixed vocabulary at each call site (`route`,
-// `status`, `shard`); label *values* must be low-cardinality — route
-// patterns, status codes, shard indices — never raw paths, session ids,
-// or user input, or the registry becomes an unbounded memory leak. The
-// disabled path is the same single relaxed load as the unlabeled APIs.
-
-/// Normalize a call-site label slice into the canonical sorted form.
-fn label_set(labels: &[(&str, &str)]) -> LabelSet {
-    let mut set: LabelSet = labels
-        .iter()
-        .map(|(k, v)| (k.to_string(), v.to_string()))
-        .collect();
-    set.sort();
-    set
+    gauge_set_labeled(name, &[], value);
 }
 
 /// Add `delta` to the labeled counter series `name{labels}`. No-op when
 /// disabled.
 #[inline]
 pub fn counter_add_labeled(name: &str, labels: &[(&str, &str)], delta: u64) {
-    if !enabled() {
-        return;
+    if enabled() {
+        update(|r| &mut r.counters, name, labels, |v| *v += delta);
     }
-    let set = label_set(labels);
-    let mut map = lock(&LABELED_COUNTERS);
-    if !map.contains_key(name) {
-        map.insert(name.to_string(), BTreeMap::new());
-    }
-    let family = map.get_mut(name).expect("family ensured above");
-    *family.entry(set).or_insert(0) += delta;
 }
 
 /// Set the labeled gauge series `name{labels}` (last write wins). No-op
 /// when disabled.
 #[inline]
 pub fn gauge_set_labeled(name: &str, labels: &[(&str, &str)], value: f64) {
-    if !enabled() {
-        return;
+    if enabled() {
+        update(|r| &mut r.gauges, name, labels, |v| *v = value);
     }
-    let set = label_set(labels);
-    let mut map = lock(&LABELED_GAUGES);
-    if !map.contains_key(name) {
-        map.insert(name.to_string(), BTreeMap::new());
-    }
-    let family = map.get_mut(name).expect("family ensured above");
-    family.insert(set, value);
 }
 
-/// Add `delta` to the labeled gauge series `name{labels}`. No-op when
+/// Add `delta` to the labeled gauge series `name{labels}` (accumulating
+/// float measurements, e.g. open connections per shard). No-op when
 /// disabled.
 #[inline]
 pub fn gauge_add_labeled(name: &str, labels: &[(&str, &str)], delta: f64) {
-    if !enabled() {
-        return;
+    if enabled() {
+        update(|r| &mut r.gauges, name, labels, |v| *v += delta);
     }
-    let set = label_set(labels);
-    let mut map = lock(&LABELED_GAUGES);
-    if !map.contains_key(name) {
-        map.insert(name.to_string(), BTreeMap::new());
-    }
-    let family = map.get_mut(name).expect("family ensured above");
-    *family.entry(set).or_insert(0.0) += delta;
 }
 
 /// Record one observation into the labeled log₂ histogram series
@@ -501,16 +474,9 @@ pub fn gauge_add_labeled(name: &str, labels: &[(&str, &str)], delta: f64) {
 /// for the keep-alive reuse histogram. No-op when disabled.
 #[inline]
 pub fn hist_record_labeled(name: &str, labels: &[(&str, &str)], value: u128) {
-    if !enabled() {
-        return;
+    if enabled() {
+        update(|r| &mut r.hists, name, labels, |s| s.record(value));
     }
-    let set = label_set(labels);
-    let mut map = lock(&LABELED_HISTS);
-    if !map.contains_key(name) {
-        map.insert(name.to_string(), BTreeMap::new());
-    }
-    let family = map.get_mut(name).expect("family ensured above");
-    family.entry(set).or_default().record(value);
 }
 
 // ---------------------------------------------------------------------------
@@ -850,6 +816,8 @@ pub fn set_journal_capacity(capacity: usize) {
 
 /// A frozen copy of the registry, for export. Maps are `BTreeMap`s so
 /// JSON key order (and therefore diffs of snapshots) is deterministic.
+/// The first three fields hold each family's unlabelled series, the
+/// `labeled_*` fields its labelled ones.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Snapshot {
     /// Aggregated span timings by name.
@@ -868,14 +836,38 @@ pub struct Snapshot {
 
 /// Freeze the current registry contents into a [`Snapshot`].
 pub fn snapshot() -> Snapshot {
+    let Registry {
+        hists,
+        counters,
+        gauges,
+    } = lock(&REGISTRY).clone();
+    let (spans, labeled_hists) = split(hists);
+    let (counters, labeled_counters) = split(counters);
+    let (gauges, labeled_gauges) = split(gauges);
     Snapshot {
-        spans: lock(&SPANS).clone(),
-        counters: lock(&COUNTERS).clone(),
-        gauges: lock(&GAUGES).clone(),
-        labeled_counters: lock(&LABELED_COUNTERS).clone(),
-        labeled_gauges: lock(&LABELED_GAUGES).clone(),
-        labeled_hists: lock(&LABELED_HISTS).clone(),
+        spans,
+        counters,
+        gauges,
+        labeled_counters,
+        labeled_gauges,
+        labeled_hists,
     }
+}
+
+/// Split one kind's families into the unlabelled series by name and the
+/// families that have labelled series (without their unlabelled one).
+fn split<T>(families: Families<T>) -> (BTreeMap<String, T>, Families<T>) {
+    let mut unlabelled = BTreeMap::new();
+    let mut labelled = BTreeMap::new();
+    for (name, mut family) in families {
+        if let Some(v) = family.remove(&LabelSet::new()) {
+            unlabelled.insert(name.clone(), v);
+        }
+        if !family.is_empty() {
+            labelled.insert(name, family);
+        }
+    }
+    (unlabelled, labelled)
 }
 
 fn escape_json(s: &str, out: &mut String) {
@@ -908,6 +900,61 @@ fn labels_json(labels: &[(String, String)], out: &mut String) {
     out.push('}');
 }
 
+/// One JSON section: `"<name>": <value>` per entry, one per line in name
+/// order, or `{}` when empty.
+fn json_object<T>(entries: &BTreeMap<String, T>, value: impl Fn(&T) -> String) -> String {
+    if entries.is_empty() {
+        return "{}".to_string();
+    }
+    let mut out = String::from("{");
+    for (i, (name, v)) in entries.iter().enumerate() {
+        out.push_str(if i == 0 { "\n    " } else { ",\n    " });
+        escape_json(name, &mut out);
+        out.push_str(": ");
+        out.push_str(&value(v));
+    }
+    out.push_str("\n  }");
+    out
+}
+
+/// A labelled family: `[{"labels": {...}, <fields>}, ...]` in label-set
+/// order.
+fn family_json<T>(family: &BTreeMap<LabelSet, T>, fields: impl Fn(&T) -> String) -> String {
+    let mut out = String::from("[");
+    for (i, (labels, v)) in family.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        out.push_str("{\"labels\": ");
+        labels_json(labels, &mut out);
+        out.push_str(", ");
+        out.push_str(&fields(v));
+        out.push('}');
+    }
+    out.push(']');
+    out
+}
+
+/// A histogram's fields: count, total/min/max ns and the occupied
+/// `[bucket, count]` pairs.
+fn stats_json(s: &SpanStats) -> String {
+    let hist: Vec<String> = s
+        .hist
+        .iter()
+        .enumerate()
+        .filter(|&(_, &c)| c > 0)
+        .map(|(b, c)| format!("[{b}, {c}]"))
+        .collect();
+    format!(
+        "\"count\": {}, \"total_ns\": {}, \"min_ns\": {}, \"max_ns\": {}, \"hist\": [{}]",
+        s.count,
+        s.total_ns,
+        s.min_ns,
+        s.max_ns,
+        hist.join(", ")
+    )
+}
+
 fn json_f64(v: f64) -> String {
     if v.is_finite() {
         let s = format!("{v}");
@@ -932,138 +979,56 @@ impl Snapshot {
     ///                             "min_ns": N, "max_ns": N,
     ///                             "hist": [[bucket, count], ...] }, ... },
     ///   "counters": { "<name>": N, ... },
-    ///   "gauges":   { "<name>": X, ... }
+    ///   "gauges":   { "<name>": X, ... },
+    ///   "labeled_counters": { "<name>": [{ "labels": { "<key>": "<value>", ... },
+    ///                                      "value": N }, ...], ... },
+    ///   "labeled_gauges":   { "<name>": [{ "labels": {...}, "value": X }, ...], ... },
+    ///   "labeled_hists":    { "<name>": [{ "labels": {...}, "count": N, "total_ns": N,
+    ///                                      "min_ns": N, "max_ns": N,
+    ///                                      "hist": [[bucket, count], ...] }, ...], ... }
     /// }
     /// ```
     ///
     /// Durations are integer nanoseconds; `hist` is the sparse log₂
     /// duration histogram (`bucket` b counts runs in `[2^b, 2^(b+1))`
     /// ns; empty buckets are omitted); gauges are JSON numbers (or
-    /// `null` for non-finite values). Keys appear in sorted order.
+    /// `null` for non-finite values). A family's unlabelled series sits
+    /// in the first three sections, its labelled series in the
+    /// `labeled_*` ones. Names and label sets appear in sorted order.
     pub fn to_json(&self) -> String {
+        let value = |v: String| format!("\"value\": {v}");
+        let sections = [
+            (
+                "spans",
+                json_object(&self.spans, |s| format!("{{{}}}", stats_json(s))),
+            ),
+            ("counters", json_object(&self.counters, u64::to_string)),
+            ("gauges", json_object(&self.gauges, |v| json_f64(*v))),
+            (
+                "labeled_counters",
+                json_object(&self.labeled_counters, |f| {
+                    family_json(f, |v| value(v.to_string()))
+                }),
+            ),
+            (
+                "labeled_gauges",
+                json_object(&self.labeled_gauges, |f| {
+                    family_json(f, |v| value(json_f64(*v)))
+                }),
+            ),
+            (
+                "labeled_hists",
+                json_object(&self.labeled_hists, |f| family_json(f, stats_json)),
+            ),
+        ];
         let mut out = String::with_capacity(1024);
-        out.push_str("{\n  \"spans\": {");
-        for (i, (name, s)) in self.spans.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            out.push_str("    ");
-            escape_json(name, &mut out);
-            out.push_str(&format!(
-                ": {{\"count\": {}, \"total_ns\": {}, \"min_ns\": {}, \"max_ns\": {}, \"hist\": [",
-                s.count, s.total_ns, s.min_ns, s.max_ns
-            ));
-            let mut first = true;
-            for (b, &c) in s.hist.iter().enumerate() {
-                if c > 0 {
-                    if !first {
-                        out.push_str(", ");
-                    }
-                    out.push_str(&format!("[{b}, {c}]"));
-                    first = false;
-                }
-            }
-            out.push_str("]}");
+        out.push('{');
+        for (i, (title, body)) in sections.iter().enumerate() {
+            out.push_str(if i == 0 { "\n  \"" } else { ",\n  \"" });
+            out.push_str(title);
+            out.push_str("\": ");
+            out.push_str(body);
         }
-        out.push_str(if self.spans.is_empty() { "}" } else { "\n  }" });
-        out.push_str(",\n  \"counters\": {");
-        for (i, (name, v)) in self.counters.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            out.push_str("    ");
-            escape_json(name, &mut out);
-            out.push_str(&format!(": {v}"));
-        }
-        out.push_str(if self.counters.is_empty() {
-            "}"
-        } else {
-            "\n  }"
-        });
-        out.push_str(",\n  \"gauges\": {");
-        for (i, (name, v)) in self.gauges.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            out.push_str("    ");
-            escape_json(name, &mut out);
-            out.push_str(": ");
-            out.push_str(&json_f64(*v));
-        }
-        out.push_str(if self.gauges.is_empty() { "}" } else { "\n  }" });
-        out.push_str(",\n  \"labeled_counters\": {");
-        for (i, (name, family)) in self.labeled_counters.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            out.push_str("    ");
-            escape_json(name, &mut out);
-            out.push_str(": [");
-            for (k, (labels, v)) in family.iter().enumerate() {
-                if k > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str("{\"labels\": ");
-                labels_json(labels, &mut out);
-                out.push_str(&format!(", \"value\": {v}}}"));
-            }
-            out.push(']');
-        }
-        out.push_str(if self.labeled_counters.is_empty() {
-            "}"
-        } else {
-            "\n  }"
-        });
-        out.push_str(",\n  \"labeled_gauges\": {");
-        for (i, (name, family)) in self.labeled_gauges.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            out.push_str("    ");
-            escape_json(name, &mut out);
-            out.push_str(": [");
-            for (k, (labels, v)) in family.iter().enumerate() {
-                if k > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str("{\"labels\": ");
-                labels_json(labels, &mut out);
-                out.push_str(", \"value\": ");
-                out.push_str(&json_f64(*v));
-                out.push('}');
-            }
-            out.push(']');
-        }
-        out.push_str(if self.labeled_gauges.is_empty() {
-            "}"
-        } else {
-            "\n  }"
-        });
-        out.push_str(",\n  \"labeled_hists\": {");
-        for (i, (name, family)) in self.labeled_hists.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            out.push_str("    ");
-            escape_json(name, &mut out);
-            out.push_str(": [");
-            for (k, (labels, s)) in family.iter().enumerate() {
-                if k > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str("{\"labels\": ");
-                labels_json(labels, &mut out);
-                out.push_str(&format!(
-                    ", \"count\": {}, \"total_ns\": {}, \"min_ns\": {}, \"max_ns\": {}, \"hist\": [",
-                    s.count, s.total_ns, s.min_ns, s.max_ns
-                ));
-                let mut first = true;
-                for (b, &c) in s.hist.iter().enumerate() {
-                    if c > 0 {
-                        if !first {
-                            out.push_str(", ");
-                        }
-                        out.push_str(&format!("[{b}, {c}]"));
-                        first = false;
-                    }
-                }
-                out.push_str("]}");
-            }
-            out.push(']');
-        }
-        out.push_str(if self.labeled_hists.is_empty() {
-            "}"
-        } else {
-            "\n  }"
-        });
         out.push_str("\n}\n");
         out
     }
@@ -1176,8 +1141,8 @@ mod tests {
         }
         counter_add("off.count", 5);
         gauge_set("off.gauge", 1.0);
-        gauge_add("off.gauge", 1.0);
-        span_record("off.manual", 1000);
+        gauge_add_labeled("off.gauge", &[], 1.0);
+        hist_record_labeled("off.manual", &[], 1000);
         event("off.event").field("x", 1u64).emit();
         let snap = snapshot();
         assert!(snap.spans.is_empty());
@@ -1191,9 +1156,9 @@ mod tests {
         let _g = lock(&TEST_LOCK);
         set_enabled(true);
         reset();
-        span_record("stage.a", 100);
-        span_record("stage.a", 300);
-        span_record("stage.a", 200);
+        hist_record_labeled("stage.a", &[], 100);
+        hist_record_labeled("stage.a", &[], 300);
+        hist_record_labeled("stage.a", &[], 200);
         {
             let _s = span("stage.b"); // real timer: nonzero elapsed
         }
@@ -1237,8 +1202,8 @@ mod tests {
         counter_add("c.items", 4);
         gauge_set("g.last", 1.5);
         gauge_set("g.last", 2.5);
-        gauge_add("g.sum", 1.0);
-        gauge_add("g.sum", 0.25);
+        gauge_add_labeled("g.sum", &[], 1.0);
+        gauge_add_labeled("g.sum", &[], 0.25);
         let snap = snapshot();
         all_off();
         assert_eq!(snap.counters["c.items"], 7);
@@ -1257,7 +1222,7 @@ mod tests {
                 s.spawn(|| {
                     for _ in 0..1000 {
                         counter_add("t.hits", 1);
-                        span_record("t.span", 10);
+                        hist_record_labeled("t.span", &[], 10);
                         event("t.event").field("n", 1u64).emit();
                     }
                 });
@@ -1281,7 +1246,7 @@ mod tests {
         let _g = lock(&TEST_LOCK);
         set_enabled(true);
         reset();
-        span_record("stage.grid", 1_000_000);
+        hist_record_labeled("stage.grid", &[], 1_000_000);
         counter_add("em.iters", 42);
         gauge_set("score \"q\"", 0.5);
         gauge_set("bad", f64::NAN);
@@ -1558,6 +1523,32 @@ mod tests {
             "{json}"
         );
         assert_eq!(json.matches('{').count(), json.matches('}').count());
+    }
+
+    #[test]
+    fn empty_label_set_is_the_unlabelled_series() {
+        let _g = lock(&TEST_LOCK);
+        set_enabled(true);
+        reset();
+        counter_add("both.kinds", 2);
+        counter_add_labeled("both.kinds", &[], 3);
+        counter_add_labeled("both.kinds", &[("shard", "0")], 4);
+        gauge_set("both.kinds", 1.5);
+        hist_record_labeled("both.kinds", &[], 100);
+        let snap = snapshot();
+        all_off();
+        assert_eq!(snap.counters["both.kinds"], 5);
+        let shard_0 = vec![("shard".to_string(), "0".to_string())];
+        assert_eq!(
+            snap.labeled_counters["both.kinds"],
+            BTreeMap::from([(shard_0, 4)])
+        );
+        // One name may be a counter, a gauge and a histogram at once, and
+        // a family with no labelled series has no `labeled_*` entry.
+        assert_eq!(snap.gauges["both.kinds"], 1.5);
+        assert_eq!(snap.spans["both.kinds"].count, 1);
+        assert!(snap.labeled_gauges.is_empty());
+        assert!(snap.labeled_hists.is_empty());
     }
 
     #[test]

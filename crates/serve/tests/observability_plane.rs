@@ -1,5 +1,6 @@
 //! The observability plane end-to-end, over real sockets: Prometheus
-//! exposition conformance (validated by the in-tree parser), request-id
+//! exposition conformance (validated by the in-tree parser), metric
+//! names and label cardinality over every family the server records, request-id
 //! uniqueness across shards under concurrent keep-alive load, and the
 //! `/events` journal tail's cursor contract (gap-free resume, long-poll
 //! wakeup, drop-oldest wraparound accounting).
@@ -10,7 +11,7 @@
 use panda_serve::client::{request, Client, Reply};
 use panda_serve::{Server, ServerConfig};
 use serde::Value;
-use std::collections::HashSet;
+use std::collections::{BTreeSet, HashSet};
 use std::sync::{Mutex, MutexGuard};
 
 static OBS: Mutex<()> = Mutex::new(());
@@ -61,17 +62,30 @@ fn prometheus_exposition_from_a_live_server_is_conformant() {
     .unwrap();
     let addr = handle.addr();
 
-    // Mixed traffic so the exposition has real RED series: 200s, a 404,
-    // and a 405.
+    // Mixed traffic so the exposition has real RED series: 200s, 404s
+    // (one unrouted path, and fifty session ids through one route
+    // pattern) and a 405. `routes` collects each request's expected
+    // `(route, status)` labels.
+    let mut routes = BTreeSet::from([("/metrics", "200"), ("/metrics", "400")]);
     let mut client = Client::connect(addr, None).unwrap();
     for _ in 0..20 {
         let reply = client.roundtrip("GET", "/healthz", "").unwrap();
         assert_eq!(reply.status, 200);
     }
+    routes.insert(("/healthz", "200"));
     let Reply { status, .. } = request(addr, "GET", "/no/such/route", "", None).unwrap();
     assert_eq!(status, 404);
+    routes.insert(("<unmatched>", "404"));
     let Reply { status, .. } = request(addr, "PUT", "/healthz", "", None).unwrap();
     assert_eq!(status, 405);
+    routes.insert(("/healthz", "405"));
+    for id in 1..=50 {
+        let reply = client
+            .roundtrip("GET", &format!("/sessions/{id}"), "")
+            .unwrap();
+        assert_eq!(reply.status, 404);
+    }
+    routes.insert(("/sessions/{id}", "404"));
 
     // Default content negotiation is JSON; ?format=prometheus switches.
     let Reply { status, body, .. } = request(addr, "GET", "/metrics", "", None).unwrap();
@@ -129,6 +143,77 @@ fn prometheus_exposition_from_a_live_server_is_conformant() {
 
     handle.shutdown();
     handle.join();
+    families_are_named_and_bounded(&panda_obs::snapshot(), &routes, 2);
+}
+
+/// The label keys call sites use; every value under them comes from a
+/// small fixed set (route patterns, status codes, shard, follower and
+/// kind indices), never from request data.
+const LABEL_KEYS: [&str; 7] = [
+    "route",
+    "status",
+    "shard",
+    "kind",
+    "reason",
+    "direction",
+    "follower",
+];
+
+/// Every family in all six snapshot sections has a conforming name and
+/// only known label keys, and `serve.http.requests` holds at most one
+/// series per (route pattern, status, shard) the traffic could produce.
+fn families_are_named_and_bounded(
+    snap: &panda_obs::Snapshot,
+    routes: &BTreeSet<(&str, &str)>,
+    workers: usize,
+) {
+    let names = snap
+        .spans
+        .keys()
+        .chain(snap.counters.keys())
+        .chain(snap.gauges.keys())
+        .chain(snap.labeled_counters.keys())
+        .chain(snap.labeled_gauges.keys())
+        .chain(snap.labeled_hists.keys());
+    for name in names {
+        assert!(panda_obs::is_valid_metric_name(name), "{name:?}");
+    }
+    let label_sets = snap
+        .labeled_counters
+        .values()
+        .flat_map(|f| f.keys())
+        .chain(snap.labeled_gauges.values().flat_map(|f| f.keys()))
+        .chain(snap.labeled_hists.values().flat_map(|f| f.keys()));
+    for set in label_sets {
+        for (key, _) in set {
+            assert!(LABEL_KEYS.contains(&key.as_str()), "label key {key:?}");
+        }
+    }
+
+    let shards: Vec<String> = (0..workers).map(|s| s.to_string()).collect();
+    let triples: BTreeSet<(&str, &str, &str)> = routes
+        .iter()
+        .flat_map(|&(route, status)| shards.iter().map(move |s| (route, status, s.as_str())))
+        .collect();
+    let requests = &snap.labeled_counters["serve.http.requests"];
+    for set in requests.keys() {
+        let get = |key: &str| {
+            set.iter()
+                .find(|(k, _)| k == key)
+                .map(|(_, v)| v.as_str())
+                .unwrap_or_else(|| panic!("{key} label in {set:?}"))
+        };
+        assert_eq!(set.len(), 3, "route, status and shard only: {set:?}");
+        let triple = (get("route"), get("status"), get("shard"));
+        assert!(triples.contains(&triple), "unexpected series {triple:?}");
+    }
+    assert!(requests.len() <= triples.len(), "{requests:?}");
+    let sessions: u64 = requests
+        .iter()
+        .filter(|(set, _)| set.contains(&("route".to_string(), "/sessions/{id}".to_string())))
+        .map(|(_, &n)| n)
+        .sum();
+    assert_eq!(sessions, 50, "fifty session ids, one route pattern");
 }
 
 #[test]

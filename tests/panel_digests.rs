@@ -1,30 +1,35 @@
 //! Bit-identity oracle for the Step-4 panels: the LF Stats Panel rows,
 //! the semantic debugging queries, the three samplers and the `lf.stats`
-//! journal events of a session with the curated plus auto-generated LFs,
-//! on every family of the extended suite (built as `label_digests.rs`
-//! builds them), pinned to FNV-1a digests. Any change to a count, a rate
-//! bit, a selected pair or its rank moves a digest.
+//! and `model.em.iter` journal events of a session with the curated plus
+//! auto-generated LFs, on every family of the extended suite (built as
+//! `label_digests.rs` builds them), pinned to FNV-1a digests. Any change
+//! to a count, a rate bit, a selected pair or its rank, or an EM
+//! iteration's log-likelihood or parameter means moves a digest.
 //!
-//! The constants were captured before the panels read the packed label
-//! matrix word at a time and kept only the top `k` rows; they pin that
-//! those changes moved no output.
+//! The panel constants were captured before the panels read the packed
+//! label matrix word at a time and kept only the top `k` rows; they pin
+//! that those changes moved no output. The `model.em.iter` constants
+//! were captured before both EM models took their journal
+//! log-likelihood from per-LF `ln` tables.
 //!
 //! Everything lives in ONE `#[test]`: the journal is process-global, and
-//! a concurrent test's refit would add its own `lf.stats` events.
+//! a concurrent test's refit would add its own events.
 
 use panda::datasets::{generate, DatasetFamily, GeneratorConfig};
 use panda::obs::{self, FieldValue};
 use panda::prelude::*;
 use panda_bench::curated_lfs;
 
-/// `(family, stats rows, debug queries, samplers, lf.stats events)`.
-const PINNED: [(DatasetFamily, u64, u64, u64, u64); 7] = [
+/// `(family, stats rows, debug queries, samplers, lf.stats events,
+/// model.em.iter events)`.
+const PINNED: [(DatasetFamily, u64, u64, u64, u64, u64); 7] = [
     (
         DatasetFamily::AbtBuy,
         0x9b53d8ad5f984ef5,
         0x55ad5a15cce47228,
         0x1aa75e59a9176ac1,
         0xa1a7f41ba2c6f1c1,
+        0x8dc15149434e4dc1,
     ),
     (
         DatasetFamily::AmazonGoogle,
@@ -32,6 +37,7 @@ const PINNED: [(DatasetFamily, u64, u64, u64, u64); 7] = [
         0x90b45a7e84fa3d73,
         0x8dd459511cfbac50,
         0x8149d58f04ae87fa,
+        0x9202e3b00269e2ae,
     ),
     (
         DatasetFamily::WalmartAmazon,
@@ -39,6 +45,7 @@ const PINNED: [(DatasetFamily, u64, u64, u64, u64); 7] = [
         0xe7608d537a8490c4,
         0xbd9784c2bc5314b2,
         0x3364f48a021fe144,
+        0x159d43e89d6e20c9,
     ),
     (
         DatasetFamily::AbtBuyDirty,
@@ -46,6 +53,7 @@ const PINNED: [(DatasetFamily, u64, u64, u64, u64); 7] = [
         0xd0544aa61d24f612,
         0x09598af4c13271ed,
         0xc20fe985c366a283,
+        0xa6aca81268a2314b,
     ),
     (
         DatasetFamily::DblpAcm,
@@ -53,6 +61,7 @@ const PINNED: [(DatasetFamily, u64, u64, u64, u64); 7] = [
         0x3248fad88006b707,
         0x4b76d1a3e74d1c55,
         0x5bd9bec75f10e602,
+        0x52a5449081c9e183,
     ),
     (
         DatasetFamily::DblpScholar,
@@ -60,6 +69,7 @@ const PINNED: [(DatasetFamily, u64, u64, u64, u64); 7] = [
         0x6427108fbe848046,
         0xb07ef474d8dd6840,
         0xf11eb1a6b6a4d7b5,
+        0x655c271637233248,
     ),
     (
         DatasetFamily::FodorsZagats,
@@ -67,6 +77,7 @@ const PINNED: [(DatasetFamily, u64, u64, u64, u64); 7] = [
         0x980c5955856134fa,
         0x3521a32ffe1a9e59,
         0xec20e84bd7a1abe2,
+        0x447eb77930a470d1,
     ),
 ];
 
@@ -190,16 +201,11 @@ fn sampler_digest(session: &mut PandaSession) -> u64 {
     h.0
 }
 
-/// Every field of the `lf.stats` events one journaled refit emits.
-fn journal_digest(session: &mut PandaSession) -> u64 {
-    obs::set_journal_enabled(true);
-    obs::journal_drain();
-    session.fit();
-    let dump = obs::journal_drain();
-    obs::set_journal_enabled(false);
+/// Every field of the events of `kind`, and how many there were.
+fn events_digest(events: &[obs::Event], kind: &str) -> (u64, usize) {
     let mut h = Fnv::new();
     let mut n_events = 0usize;
-    for event in dump.events.iter().filter(|e| e.kind == "lf.stats") {
+    for event in events.iter().filter(|e| e.kind == kind) {
         n_events += 1;
         for (key, value) in &event.fields {
             h.str(key);
@@ -212,8 +218,30 @@ fn journal_digest(session: &mut PandaSession) -> u64 {
             }
         }
     }
-    assert_eq!(n_events, session.matrix().n_lfs(), "one lf.stats per LF");
-    h.0
+    (h.0, n_events)
+}
+
+/// Every field of the `lf.stats` and of the `model.em.iter` events one
+/// journaled refit emits.
+fn journal_digests(session: &mut PandaSession) -> (u64, u64) {
+    obs::set_journal_enabled(true);
+    obs::journal_drain();
+    session.fit();
+    let dump = obs::journal_drain();
+    obs::set_journal_enabled(false);
+    let (stats, n_stats) = events_digest(&dump.events, "lf.stats");
+    assert_eq!(n_stats, session.matrix().n_lfs(), "one lf.stats per LF");
+    // The Panda fit and the Snorkel fit that seeds it both journal.
+    for model in ["panda", "snorkel"] {
+        let model = FieldValue::Str(model.to_string());
+        assert!(
+            dump.events
+                .iter()
+                .any(|e| e.kind == "model.em.iter" && e.field("model") == Some(&model)),
+            "{model:?} iterations journaled"
+        );
+    }
+    (stats, events_digest(&dump.events, "model.em.iter").0)
 }
 
 #[test]
@@ -224,18 +252,22 @@ fn panels_are_bit_identical_on_every_family() {
         "one pinned row per family"
     );
     let mut mismatches = Vec::new();
-    for (family, stats, debug, samplers, journal) in PINNED {
+    for (family, stats, debug, samplers, lf_stats, em_iters) in PINNED {
         let mut s = session(family);
+        let (stats_got, debug_got) = (stats_digest(&s), debug_digest(&s));
+        let samplers_got = sampler_digest(&mut s);
+        let (lf_stats_got, em_iters_got) = journal_digests(&mut s);
         let got = (
-            stats_digest(&s),
-            debug_digest(&s),
-            sampler_digest(&mut s),
-            journal_digest(&mut s),
+            stats_got,
+            debug_got,
+            samplers_got,
+            lf_stats_got,
+            em_iters_got,
         );
-        if got != (stats, debug, samplers, journal) {
+        if got != (stats, debug, samplers, lf_stats, em_iters) {
             mismatches.push(format!(
-                "(DatasetFamily::{family:?}, 0x{:016x}, 0x{:016x}, 0x{:016x}, 0x{:016x}),",
-                got.0, got.1, got.2, got.3
+                "(DatasetFamily::{family:?}, 0x{:016x}, 0x{:016x}, 0x{:016x}, 0x{:016x}, 0x{:016x}),",
+                got.0, got.1, got.2, got.3, got.4
             ));
         }
     }
