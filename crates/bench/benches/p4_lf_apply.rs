@@ -13,25 +13,21 @@
 //!   lists where no token repeats (votes through the per-pair kernel).
 //!
 //! `BENCH_lfapply.json` records the before/after medians; `bench_gate`
-//! holds its lines through the same `panda_bench::lfapply` workloads.
+//! holds its lines through the same `panda_bench::ledger` cases.
 //!
 //! Run: `PANDA_WORKERS=1 cargo bench -p panda-bench --bench p4_lf_apply`
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use panda_bench::lfapply::{add_column_case, apply_case, authors_me_case, token_case};
+use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use panda_bench::ledger;
 
 fn bench_lf_apply(c: &mut Criterion) {
     println!("workers: {}", panda_exec::worker_count());
     let mut g = c.benchmark_group("lf_apply");
     g.sample_size(10);
-    for case in [
-        apply_case(),
-        add_column_case(),
-        authors_me_case(),
-        token_case(None),
-        token_case(Some(200)),
-    ] {
-        g.bench_function(&case.name, |b| b.iter_custom(|iters| case.time(iters)));
+    for case in ledger::cases("BENCH_lfapply.json") {
+        let mut input = case.input().unwrap_or_else(|e| panic!("{e}"));
+        g.throughput(Throughput::Elements(input.pairs as u64));
+        g.bench_function(case.name, |b| b.iter_custom(&mut input.time));
     }
     g.finish();
 }

@@ -9,19 +9,21 @@
 //!   `rehydrate`: the candidates plus the sampler likelihood).
 //!
 //! `BENCH_blocking.json` records the before/after medians; `bench_gate`
-//! holds its lines through the same `panda_bench::blocking` workloads.
+//! holds its lines through the same `panda_bench::ledger` cases.
 //!
 //! Run: `PANDA_WORKERS=1 cargo bench -p panda-bench --bench p5_blocking`
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use panda_bench::blocking::{deploy_case, load_case};
+use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use panda_bench::ledger;
 
 fn bench_blocking(c: &mut Criterion) {
     println!("workers: {}", panda_exec::worker_count());
     let mut g = c.benchmark_group("blocking");
     g.sample_size(20);
-    for case in [deploy_case(), load_case()] {
-        g.bench_function(&case.name, |b| b.iter_custom(|iters| case.time(iters)));
+    for case in ledger::cases("BENCH_blocking.json") {
+        let mut input = case.input().unwrap_or_else(|e| panic!("{e}"));
+        g.throughput(Throughput::Elements(input.pairs as u64));
+        g.bench_function(case.name, |b| b.iter_custom(&mut input.time));
     }
     g.finish();
 }

@@ -9,20 +9,21 @@
 //!   in every fit `panda serve` makes.
 //!
 //! `BENCH_panels.json` records the before/after medians; `bench_gate`
-//! holds its lines through the same `panda_bench::panels` workloads.
+//! holds its lines through the same `panda_bench::ledger` cases.
 //!
 //! Run: `PANDA_WORKERS=1 cargo bench -p panda-bench --bench p6_panels`
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use panda_bench::panels::{panels_case, refit_journaled_case};
+use panda_bench::ledger;
 
 fn bench_panels(c: &mut Criterion) {
     println!("workers: {}", panda_exec::worker_count());
     let mut g = c.benchmark_group("panels");
     g.sample_size(20);
-    for case in [panels_case(), refit_journaled_case()] {
-        g.throughput(Throughput::Elements(case.pairs() as u64));
-        g.bench_function(&case.name, |b| b.iter_custom(|iters| case.time(iters)));
+    for case in ledger::cases("BENCH_panels.json") {
+        let mut input = case.input().unwrap_or_else(|e| panic!("{e}"));
+        g.throughput(Throughput::Elements(input.pairs as u64));
+        g.bench_function(case.name, |b| b.iter_custom(&mut input.time));
     }
     g.finish();
 }
